@@ -70,4 +70,4 @@ from .optimality import (  # noqa: F401
     check_sip_linear,
     verify_certificate,
 )
-from .oracle import verify_formula_instance  # noqa: F401
+from .oracle import verify_formula_instance, verify_result  # noqa: F401

@@ -408,13 +408,10 @@ def sublevel_normal_cone_intersection(
     )
     current = v_to_h(results[0].hull)
     prev_cone: ConeGen | None = None
-    final: ConeGen | None = None
-    for i, res in enumerate(results):
-        if i > 0:
-            current = intersect(current, v_to_h(res.hull))
-        prev_cone = final
-        final = recession_cone(current)
-    assert final is not None
+    final = recession_cone(current)
+    for res in results[1:]:
+        current = intersect(current, v_to_h(res.hull))
+        prev_cone, final = final, recession_cone(current)
     stabilized = prev_cone is not None and cone_equal(prev_cone, final)
     return IntersectionResult(final, results, stabilized)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..errors import InputError
+from ..errors import InputError, InternalCheckError
 from . import lp
 from .dd import DEFAULT_ROW_CAP, cone_rays
 from .vec import (
@@ -215,10 +215,12 @@ def lp_solve(objective: Vec, poly: PolyhedronH) -> LpResult:
     res = lp.solve_min_eq(rows, rhs, cost)
     if res.status == lp.INFEASIBLE:
         return LpResult(lp.INFEASIBLE)
-    assert res.point is not None
+    if res.point is None:
+        raise InternalCheckError(f"simplex reported {res.status} without a point")
     point = tuple(res.point[k] - res.point[d + k] for k in range(d))
     if res.status == lp.UNBOUNDED:
-        assert res.ray is not None
+        if res.ray is None:
+            raise InternalCheckError("simplex reported unbounded without a ray")
         ray = tuple(res.ray[k] - res.ray[d + k] for k in range(d))
         return LpResult(lp.UNBOUNDED, point=point, ray=primitive(ray))
     value = dot(objective, point)
@@ -433,10 +435,6 @@ def poly_equal(a: PolyhedronH, b: PolyhedronH) -> bool:
     return poly_contains_generators(b, ga) and poly_contains_generators(a, gb)
 
 
-def generator_subset_of_poly(gen: GeneratorSet, poly: PolyhedronH) -> bool:
-    return poly_contains_generators(poly, gen)
-
-
 def sup_distance_to_cone(v: Vec, c: ConeGen) -> tuple[Fraction, list[Fraction]]:
     """Exact sup-norm distance from v to cone(rays), with optimal multipliers.
 
@@ -461,7 +459,9 @@ def sup_distance_to_cone(v: Vec, c: ConeGen) -> tuple[Fraction, list[Fraction]]:
         rhs.append(-v[k])
     cost = [Fraction(0)] * nr + [Fraction(1)] + [Fraction(0)] * (2 * d)
     res = lp.solve_min_eq(rows, rhs, cost)
-    assert res.status == lp.OPTIMAL and res.point is not None and res.value is not None
+    if res.status != lp.OPTIMAL or res.point is None or res.value is None:
+        # mu = 0, t = sup|v_k| is feasible and t >= 0 bounds the objective
+        raise InternalCheckError(f"distance LP ended {res.status} without an optimum")
     return res.value, res.point[:nr]
 
 

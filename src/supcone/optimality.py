@@ -396,7 +396,8 @@ def check_sip_linear(instance: LinearSIPInstance) -> SipReport:
     if residuals[-1] == 0:
         active, k = _active_cone(last_level_pts, x)
         mults = cone_multipliers(k, minus_c)
-        assert mults is not None
+        if mults is None:
+            raise InternalCheckError("zero residual but -c has no cone multipliers")
         half = 2 ** (instance.levels[-1] - 1)
         pairs = []
         for idx, m in zip(active, mults):

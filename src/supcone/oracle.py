@@ -2,9 +2,11 @@
 
 Everything here works directly on H-representations: the normal cone to a
 polyhedron at a point is the cone of the tight constraint normals, computed
-without touching the formula machinery. verify_formula_instance is the
-cross-validation driver; it is the single place that calls into formulas,
-and does so through a late import so the oracle itself stays independent.
+without touching the formula machinery. verify_result judges a cone the
+caller already computed against the oracle cone of the same set.
+verify_formula_instance runs the formula once, through a late import that is
+the oracle's only contact with formulas, and hands the result to
+verify_result; the ground truth itself stays formula-free.
 """
 
 from __future__ import annotations
@@ -97,6 +99,40 @@ def compare_cones(formula_cone: ConeGen, oracle_cone: ConeGen):
     return INSIDE, None
 
 
+def verify_result(
+    res, family, x: Vec, which: str = "sublevel", instance_id: str = ""
+) -> VerificationReport:
+    """Judge res.cone, a formula result the caller already has, against the
+    oracle cone of the same set.
+
+    which = "sublevel": normal cone to [sup f_t <= 0];
+    which = "dom":      normal cone to the intersection of domains;
+    which = "qc":       normal cone to an intersection of quasi-convex
+                        zero-sublevel sets (family is a SublevelOracleQC).
+    """
+    start = time.monotonic()
+    if which == "sublevel":
+        target = sup_sublevel_polyhedron([f for _, f in family.members])
+    elif which == "dom":
+        target = dom_polyhedron([f for _, f in family.members])
+    elif which == "qc":
+        target = intersect(*(m.sublevel for m in family.members))
+    else:
+        raise InputError(f"unknown verification kind {which!r}")
+    oracle_cone = polyhedron_normal_cone(target, x)
+    verdict, witness = compare_cones(res.cone, oracle_cone)
+    return VerificationReport(
+        instance_id=instance_id,
+        which=which,
+        epsilon=res.epsilon,
+        verdict=verdict,
+        formula_cone=res.cone,
+        oracle_cone=oracle_cone,
+        witness=witness,
+        elapsed=time.monotonic() - start,
+    )
+
+
 def verify_formula_instance(
     family,
     x: Vec,
@@ -106,38 +142,16 @@ def verify_formula_instance(
     instance_id: str = "",
     mode: str = "auto",
 ) -> VerificationReport:
-    """Run a formula and the independent oracle on the same instance.
-
-    which = "sublevel": normal cone to [sup f_t <= 0];
-    which = "dom":      normal cone to the intersection of domains;
-    which = "qc":       normal cone to an intersection of quasi-convex
-                        zero-sublevel sets (family is a SublevelOracleQC).
-    """
+    """Run the formula named by which once, then verify_result on it."""
     from . import formulas  # late import keeps the oracle formula-free
 
     e = rat(eps)
-    start = time.monotonic()
     if which == "sublevel":
         res = formulas.sublevel_normal_cone_formula(family, x, e, grid=grid, mode=mode)
-        target = sup_sublevel_polyhedron([f for _, f in family.members])
     elif which == "dom":
         res = formulas.dom_sup_normal_cone(family, x, e)
-        target = dom_polyhedron([f for _, f in family.members])
     elif which == "qc":
         res = formulas.qc_sublevel_normal_cone(family, x, e)
-        target = intersect(*(m.sublevel for m in family.members))
     else:
         raise InputError(f"unknown verification kind {which!r}")
-    oracle_cone = polyhedron_normal_cone(target, x)
-    verdict, witness = compare_cones(res.cone, oracle_cone)
-    elapsed = time.monotonic() - start
-    return VerificationReport(
-        instance_id=instance_id,
-        which=which,
-        epsilon=e,
-        verdict=verdict,
-        formula_cone=res.cone,
-        oracle_cone=oracle_cone,
-        witness=witness,
-        elapsed=elapsed,
-    )
+    return verify_result(res, family, x, which=which, instance_id=instance_id)

@@ -8,7 +8,6 @@ to the same bytes, so records carry no timing and no environment data.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import InputError
 from .formulas import CcReport, FormulaResult, FrechetCone, InclusionReport, IntersectionResult
@@ -17,10 +16,6 @@ from .optimality import Certificate, OptimalityReport, QCOptimalityReport, SipRe
 from .oracle import VerificationReport
 
 FORMATS = ("human", "machine", "csv")
-
-
-def rat_text(q: Fraction) -> str:
-    return format_rat(q)
 
 
 def vec_text(v: Vec) -> list[str]:
@@ -39,7 +34,7 @@ def gens_text(g: GeneratorSet) -> dict:
 
 
 def _pairs_text(pairs) -> list[list]:
-    return [[vec_text(v), rat_text(c)] for v, c in pairs]
+    return [[vec_text(v), format_rat(c)] for v, c in pairs]
 
 
 def certificate_record(cert: Certificate) -> dict:
@@ -56,13 +51,13 @@ def cone_result_record(kind: str, ident: str, res: FormulaResult, verification: 
     rec = {
         "kind": kind,
         "id": ident,
-        "epsilon": rat_text(res.epsilon),
+        "epsilon": format_rat(res.epsilon),
         "mode": res.mode,
         "exact": res.exact,
         "cone_rays": rays_text(res.cone),
     }
     if res.grid is not None:
-        rec["grid"] = [rat_text(s) for s in res.grid.values]
+        rec["grid"] = [format_rat(s) for s in res.grid.values]
     if res.grid_stable is not None:
         rec["grid_stable"] = res.grid_stable
     if res.oracle_agrees is not None:
@@ -81,7 +76,7 @@ def intersection_record(ident: str, res: IntersectionResult) -> dict:
         "id": ident,
         "cone_rays": rays_text(res.cone),
         "stabilized": res.stabilized,
-        "epsilons": [rat_text(r.epsilon) for r in res.per_eps],
+        "epsilons": [format_rat(r.epsilon) for r in res.per_eps],
     }
 
 
@@ -95,7 +90,7 @@ def cc_record(ident: str, rep: CcReport) -> dict:
     }
     if rep.witness is not None:
         w = rep.witness
-        rec["witness"] = vec_text(w) if isinstance(w, tuple) else rat_text(w)
+        rec["witness"] = vec_text(w) if isinstance(w, tuple) else format_rat(w)
     return rec
 
 
@@ -116,16 +111,16 @@ def inclusion_record(ident: str, rep: InclusionReport) -> dict:
     return {
         "kind": "inclusion-witness",
         "id": ident,
-        "rho": rat_text(rep.rho),
+        "rho": format_rat(rep.rho),
         "all_found": rep.all_found,
         "witnesses": [
             {
                 "generator": vec_text(w.generator),
                 "y": vec_text(w.y),
-                "lambda": rat_text(w.lam),
+                "lambda": format_rat(w.lam),
                 "u": vec_text(w.u),
                 "p": vec_text(w.p),
-                "distance": rat_text(w.distance),
+                "distance": format_rat(w.distance),
             }
             for w in rep.witnesses
         ],
@@ -138,14 +133,14 @@ def optimality_record(ident: str, rep: OptimalityReport) -> dict:
         "kind": "check-optimal",
         "id": ident,
         "verdict": rep.verdict,
-        "epsilon": rat_text(rep.epsilon),
+        "epsilon": format_rat(rep.epsilon),
     }
     if rep.certificate is not None:
         rec["certificate"] = certificate_record(rep.certificate)
     if rep.objective_at_point is not None:
-        rec["objective_at_point"] = rat_text(rep.objective_at_point)
+        rec["objective_at_point"] = format_rat(rep.objective_at_point)
     if rep.best_value is not None:
-        rec["best_value"] = rat_text(rep.best_value)
+        rec["best_value"] = format_rat(rep.best_value)
     if rep.improving_point is not None:
         rec["improving_point"] = vec_text(rep.improving_point)
     if rep.improving_ray is not None:
@@ -159,10 +154,10 @@ def sip_record(ident: str, rep: SipReport) -> dict:
         "id": ident,
         "verdict": rep.verdict,
         "levels": list(rep.levels),
-        "residuals": [rat_text(r) for r in rep.residuals],
+        "residuals": [format_rat(r) for r in rep.residuals],
     }
     if rep.multipliers is not None:
-        rec["multipliers"] = [[rat_text(u), rat_text(m)] for u, m in rep.multipliers]
+        rec["multipliers"] = [[format_rat(u), format_rat(m)] for u, m in rep.multipliers]
     if rep.improving_ray is not None:
         rec["improving_ray"] = vec_text(rep.improving_ray)
     return rec
@@ -173,7 +168,7 @@ def qc_necessary_record(ident: str, rep: QCOptimalityReport) -> dict:
         "kind": "qc-necessary",
         "id": ident,
         "verdict": rep.verdict,
-        "epsilon": rat_text(rep.epsilon),
+        "epsilon": format_rat(rep.epsilon),
     }
     if rep.certificate is not None:
         rec["certificate"] = certificate_record(rep.certificate)
@@ -182,7 +177,7 @@ def qc_necessary_record(ident: str, rep: QCOptimalityReport) -> dict:
     if rep.improving_point is not None:
         rec["improving_point"] = vec_text(rep.improving_point)
     if rep.objective_at_point is not None:
-        rec["objective_at_point"] = rat_text(rep.objective_at_point)
+        rec["objective_at_point"] = format_rat(rep.objective_at_point)
     return rec
 
 

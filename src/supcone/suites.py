@@ -33,12 +33,12 @@ from .formulas import (
 )
 from .functions import (
     Affine1,
-    AffinePiece,
     ImproperFunction,
-    PolyhedralFunction,
     QuasiConvex1D,
+    affine_function,
     convex_sublevel_closure_identity,
     evaluate,
+    max_affine,
 )
 from .generate import (
     GeneratedCone,
@@ -54,9 +54,9 @@ from .geometry import (
     cone,
     cone_contains,
     cone_equal,
+    format_rat,
     polyhedron,
     vec,
-    whole_space,
 )
 from .optimality import (
     CircleSampler,
@@ -70,22 +70,9 @@ from .optimality import (
     minimize_objective,
     verify_certificate,
 )
-from .oracle import EQUAL, compare_cones, verify_formula_instance
+from .oracle import EQUAL, compare_cones, verify_formula_instance, verify_result
 
 F = Fraction
-
-
-def _aff(dim: int, slope, intercept, domain=None) -> PolyhedralFunction:
-    return PolyhedralFunction(
-        dim,
-        (AffinePiece(vec(slope), F(intercept)),),
-        domain if domain is not None else whole_space(dim),
-    )
-
-
-def _maxaff(dim: int, pieces, domain=None) -> PolyhedralFunction:
-    ps = tuple(AffinePiece(vec(s), F(b)) for s, b in pieces)
-    return PolyhedralFunction(dim, ps, domain if domain is not None else whole_space(dim))
 
 
 def _hs(normal, offset) -> HalfSpace:
@@ -111,8 +98,8 @@ def _box_family() -> SupFamily:
     return SupFamily(
         2,
         (
-            ("a", _aff(2, (1, 0), -1)),
-            ("b", _aff(2, (0, 1), -1)),
+            ("a", affine_function((1, 0), -1)),
+            ("b", affine_function((0, 1), -1)),
         ),
     )
 
@@ -139,7 +126,7 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "nc-improper-mix", "normal-cone",
         lambda: {"family": SupFamily(2, (
-            ("a", _aff(2, (1, 0), -1)),
+            ("a", affine_function((1, 0), -1)),
             ("i", ImproperFunction(2, polyhedron(2, [_hs((0, 1), 0)]))),
         )), "point": (F(1), F(0)), "epsilon": F(1)},
         {"verdict": EQUAL, "cone_rays": [["0", "1"], ["1", "0"]]},
@@ -147,8 +134,8 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "nc-duplicate-members", "normal-cone",
         lambda: {"family": SupFamily(2, (
-            ("a", _aff(2, (1, 1), -2)),
-            ("b", _aff(2, (1, 1), -2)),
+            ("a", affine_function((1, 1), -2)),
+            ("b", affine_function((1, 1), -2)),
         )), "point": (F(1), F(1)), "epsilon": F(1, 4)},
         {"verdict": EQUAL, "cone_rays": [["1", "1"]]},
     ))
@@ -160,14 +147,14 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "nc-sampled-slab", "normal-cone",
         lambda: {"family": SupFamily(2, (
-            ("m", _maxaff(2, (((1, 0), -1), ((-1, 0), -1)))),
+            ("m", max_affine(2, (((1, 0), -1), ((-1, 0), -1)))),
         )), "point": (F(1), F(0)), "epsilon": F(1, 2), "mode": "sampled"},
         {"verdict": EQUAL, "exact": True, "cone_rays": [["1", "0"]]},
     ))
     add(SuiteCase(
         "nc-sampled-domain", "normal-cone",
         lambda: {"family": SupFamily(2, (
-            ("m", _maxaff(2, (((1, 1), -2),), domain=polyhedron(2, [_hs((1, 0), 1)]))),
+            ("m", max_affine(2, (((1, 1), -2),), domain=polyhedron(2, [_hs((1, 0), 1)]))),
         )), "point": (F(1), F(1)), "epsilon": F(1), "mode": "sampled"},
         {"verdict": EQUAL, "exact": True, "cone_rays": [["1", "0"], ["1", "1"]]},
     ))
@@ -186,15 +173,15 @@ def curated_cases() -> tuple[SuiteCase, ...]:
         "nc-strict-refused", "strict-cone",
         # f = max(y1, -y1) has [f < 0] empty
         lambda: {"family": SupFamily(1, (
-            ("a", _aff(1, (1,), 0)),
-            ("b", _aff(1, (-1,), 0)),
+            ("a", affine_function((1,), 0)),
+            ("b", affine_function((-1,), 0)),
         )), "point": (F(0),), "epsilon": F(1)},
         {"error": "RefusedError"},
     ))
     add(SuiteCase(
         "dom-reach-weights", "dom-cone",
         lambda: {"family": SupFamily(2, (
-            ("p", _aff(2, (1, 1), 0, domain=polyhedron(2, [_hs((1, 0), 0)]))),
+            ("p", max_affine(2, (((1, 1), 0),), domain=polyhedron(2, [_hs((1, 0), 0)]))),
             ("i", ImproperFunction(2, polyhedron(2, [_hs((0, 1), 0)]))),
         )), "point": (F(0), F(0)), "epsilon": F(1), "alpha": None},
         {"verdict": EQUAL, "cone_rays": [["0", "1"], ["1", "0"]]},
@@ -202,7 +189,7 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "dom-alpha-ones", "dom-cone",
         lambda: {"family": SupFamily(2, (
-            ("p", _aff(2, (1, 1), 0, domain=polyhedron(2, [_hs((1, 0), 0)]))),
+            ("p", max_affine(2, (((1, 1), 0),), domain=polyhedron(2, [_hs((1, 0), 0)]))),
             ("i", ImproperFunction(2, polyhedron(2, [_hs((0, 1), 0)]))),
         )), "point": (F(0), F(0)), "epsilon": F(1), "alpha": "ones"},
         {"verdict": EQUAL, "cone_rays": [["0", "1"], ["1", "0"]]},
@@ -210,7 +197,7 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "dom-alpha-below-reach", "dom-cone",
         lambda: {"family": SupFamily(2, (
-            ("p", _aff(2, (1, 1), 0, domain=polyhedron(2, [_hs((1, 0), 0)]))),
+            ("p", max_affine(2, (((1, 1), 0),), domain=polyhedron(2, [_hs((1, 0), 0)]))),
             ("i", ImproperFunction(2, polyhedron(2, [_hs((0, 1), 0)]))),
         )), "point": (F(0), F(0)), "epsilon": F(1), "alpha": {"p": F(1, 1000)}},
         {"error": "PreconditionError"},
@@ -245,7 +232,7 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     ))
     add(SuiteCase(
         "closure-polyhedral", "closure",
-        lambda: {"f": _maxaff(1, (((1,), -1),))},
+        lambda: {"f": max_affine(1, (((1,), -1),))},
         {"identity": True},
     ))
     add(SuiteCase(
@@ -269,7 +256,7 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "opt-corner", "check-optimal",
         lambda: {"program": ProgramInstance(
-            _aff(2, (-1, -1), 0), _box_family(), (F(1), F(1)),
+            affine_function((-1, -1), 0), _box_family(), (F(1), F(1)),
             Qualification("objective-continuous", (F(0), F(0))),
         ), "epsilon": F(1)},
         {"verdict": "optimal"},
@@ -277,7 +264,7 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "opt-wrong-corner", "check-optimal",
         lambda: {"program": ProgramInstance(
-            _aff(2, (1, 1), 0), _box_family(), (F(1), F(1)),
+            affine_function((1, 1), 0), _box_family(), (F(1), F(1)),
             Qualification("objective-continuous", (F(0), F(0))),
         ), "epsilon": F(1)},
         {"verdict": "not-optimal"},
@@ -285,8 +272,8 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "opt-unbounded", "check-optimal",
         lambda: {"program": ProgramInstance(
-            _aff(2, (-1, 0), 0),
-            SupFamily(2, (("b", _aff(2, (0, 1), -1)),)),
+            affine_function((-1, 0), 0),
+            SupFamily(2, (("b", affine_function((0, 1), -1)),)),
             (F(0), F(0)),
             Qualification("objective-continuous", (F(0), F(0))),
         ), "epsilon": F(1)},
@@ -295,7 +282,7 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "opt-qualification-bad", "check-optimal",
         lambda: {"program": ProgramInstance(
-            _aff(2, (-1, -1), 0), _box_family(), (F(1), F(1)),
+            affine_function((-1, -1), 0), _box_family(), (F(1), F(1)),
             Qualification("objective-continuous", (F(3), F(3))),
         ), "epsilon": F(1)},
         {"error": "PreconditionError"},
@@ -327,14 +314,14 @@ def curated_cases() -> tuple[SuiteCase, ...]:
     add(SuiteCase(
         "qcnec-holds", "qc-necessary",
         lambda: {"program": QCProgram(
-            _aff(2, (-1, -1), 0), _corner_qc(), (F(0), F(0))
+            affine_function((-1, -1), 0), _corner_qc(), (F(0), F(0))
         ), "epsilon": F(1, 4)},
         {"verdict": "condition-holds", "outer_verified": True},
     ))
     add(SuiteCase(
         "qcnec-improvable", "qc-necessary",
         lambda: {"program": QCProgram(
-            _aff(2, (1, 1), 0), _corner_qc(), (F(0), F(0))
+            affine_function((1, 1), 0), _corner_qc(), (F(0), F(0))
         ), "epsilon": F(1, 4)},
         {"verdict": "not-optimal"},
     ))
@@ -405,36 +392,36 @@ def curated_sampled_instances() -> tuple[tuple[str, GeneratedCone], ...]:
     def fam(ident: str, members, point, eps) -> None:
         out.append((ident, GeneratedCone(SupFamily(len(point), tuple(members)), vec(point), F(eps))))
 
-    fam("abs-face", [("m", _maxaff(2, (((1, 0), -1), ((-1, 0), -1))))], (1, 0), 1)
+    fam("abs-face", [("m", max_affine(2, (((1, 0), -1), ((-1, 0), -1))))], (1, 0), 1)
     fam("box-corner", [
-        ("mx", _maxaff(2, (((1, 0), -1), ((-1, 0), -1)))),
-        ("my", _maxaff(2, (((0, 1), -1), ((-1, 0), -1)))),
+        ("mx", max_affine(2, (((1, 0), -1), ((-1, 0), -1)))),
+        ("my", max_affine(2, (((0, 1), -1), ((-1, 0), -1)))),
     ], (1, 1), F(1, 2))
     fam("diamond-vertex", [
-        ("m", _maxaff(2, (((1, 1), -2), ((1, -1), -2), ((-1, 1), -2), ((-1, -1), -2)))),
+        ("m", max_affine(2, (((1, 1), -2), ((1, -1), -2), ((-1, 1), -2), ((-1, -1), -2)))),
     ], (2, 0), 1)
     fam("domain-cut", [
-        ("m", _maxaff(2, (((1, 0), 0),), domain=polyhedron(2, [_hs((0, 1), 0)]))),
+        ("m", max_affine(2, (((1, 0), 0),), domain=polyhedron(2, [_hs((0, 1), 0)]))),
     ], (0, 0), F(1, 2))
     fam("improper-corner", [
-        ("m", _maxaff(2, (((1, 0), -1),))),
+        ("m", max_affine(2, (((1, 0), -1),))),
         ("i", ImproperFunction(2, polyhedron(2, [_hs((0, 1), 1)]))),
     ], (1, 1), 1)
-    fam("slab-interior", [("m", _maxaff(2, (((1, 0), -1), ((-1, 0), -1))))], (0, 0), F(1, 4))
+    fam("slab-interior", [("m", max_affine(2, (((1, 0), -1), ((-1, 0), -1))))], (0, 0), F(1, 4))
     fam("oct-corner-3d", [
-        ("x", _maxaff(3, (((1, 0, 0), -1),))),
-        ("y", _maxaff(3, (((0, 1, 0), -1),))),
-        ("z", _maxaff(3, (((0, 0, 1), -1),))),
+        ("x", max_affine(3, (((1, 0, 0), -1),))),
+        ("y", max_affine(3, (((0, 1, 0), -1),))),
+        ("z", max_affine(3, (((0, 0, 1), -1),))),
     ], (1, 1, 1), 1)
     fam("skewed-corner", [
-        ("m", _maxaff(2, (((2, 1), -3), ((1, 2), -3)))),
+        ("m", max_affine(2, (((2, 1), -3), ((1, 2), -3)))),
     ], (1, 1), F(1, 2))
     fam("duplicate-pieces", [
-        ("m", _maxaff(2, (((1, 1), -2), ((1, 1), -2), ((0, 1), -1)))),
+        ("m", max_affine(2, (((1, 1), -2), ((1, 1), -2), ((0, 1), -1)))),
     ], (1, 1), 1)
     fam("deep-inactive", [
-        ("a", _maxaff(2, (((1, 0), -5),))),
-        ("b", _maxaff(2, (((0, 1), -5),))),
+        ("a", max_affine(2, (((1, 0), -5),))),
+        ("b", max_affine(2, (((0, 1), -5),))),
     ], (0, 0), F(1, 4))
     rng_base = 2000
     for i in range(15):
@@ -510,9 +497,9 @@ def closure_gallery() -> tuple[tuple[str, object, str], ...]:
         return QuasiConvex1D(tuple(F(b) for b in bps), ps, vs)
 
     cases: list[tuple[str, object, str]] = [
-        ("poly-line", _maxaff(1, (((1,), -1),)), "holds"),
-        ("poly-vee", _maxaff(1, (((1,), 0), ((-1,), 0))), "holds"),
-        ("poly-domain", _maxaff(1, (((1,), -2),), domain=polyhedron(1, [_hs((-1,), 0)])), "holds"),
+        ("poly-line", max_affine(1, (((1,), -1),)), "holds"),
+        ("poly-vee", max_affine(1, (((1,), 0), ((-1,), 0))), "holds"),
+        ("poly-domain", max_affine(1, (((1,), -2),), domain=polyhedron(1, [_hs((-1,), 0)])), "holds"),
         ("const-neg", q((), (((0, -1)),), ()), "holds"),
         ("const-zero", q((), (((0, 0)),), ()), "holds"),
         ("line-up", q((), (((1, 0)),), ()), "holds"),
@@ -575,19 +562,14 @@ def run_case(case: SuiteCase, mutate: bool = False) -> tuple[dict, bool]:
 def _dispatch(case: SuiteCase, payload: dict, mutate: bool) -> tuple[dict, dict]:
     kind = case.kind
     if kind == "normal-cone":
-        rep = verify_formula_instance(
-            payload["family"], payload["point"], payload["epsilon"],
-            which="sublevel", instance_id=case.ident,
-            mode=payload.get("mode", "auto"),
-        )
-        verdict = rep.verdict
-        formula_cone = rep.formula_cone
-        if mutate and case.ident == _MUTATION_TARGET:
-            formula_cone, verdict = _tampered(rep)
         res = sublevel_normal_cone_formula(
             payload["family"], payload["point"], payload["epsilon"],
             mode=payload.get("mode", "auto"),
         )
+        rep = verify_result(res, payload["family"], payload["point"], instance_id=case.ident)
+        verdict, formula_cone = rep.verdict, res.cone
+        if mutate and case.ident == _MUTATION_TARGET:
+            formula_cone, verdict = _tampered(rep)
         rec = reports.cone_result_record("normal-cone", case.ident, res)
         rec["verdict"] = verdict
         rec["cone_rays"] = reports.rays_text(formula_cone)
@@ -595,10 +577,7 @@ def _dispatch(case: SuiteCase, payload: dict, mutate: bool) -> tuple[dict, dict]
         return rec, got
     if kind == "strict-cone":
         res = strict_sublevel_normal_cone(payload["family"], payload["point"], payload["epsilon"])
-        rep = verify_formula_instance(
-            payload["family"], payload["point"], payload["epsilon"],
-            which="sublevel", instance_id=case.ident,
-        )
+        rep = verify_result(res, payload["family"], payload["point"], instance_id=case.ident)
         rec = reports.cone_result_record("strict-cone", case.ident, res, rep)
         got = {"verdict": rep.verdict, "cone_rays": rec["cone_rays"], "exact": res.exact}
         return rec, got
@@ -618,21 +597,18 @@ def _dispatch(case: SuiteCase, payload: dict, mutate: bool) -> tuple[dict, dict]
             payload["family"], payload["point"], payload["epsilon"],
             alpha=payload.get("alpha"),
         )
-        rep = verify_formula_instance(
-            payload["family"], payload["point"], payload["epsilon"],
-            which="dom", instance_id=case.ident,
+        rep = verify_result(
+            res, payload["family"], payload["point"], which="dom", instance_id=case.ident
         )
-        cmp_verdict, witness = compare_cones(res.cone, rep.oracle_cone)
         rec = reports.cone_result_record("dom-cone", case.ident, res)
-        rec["verdict"] = cmp_verdict
-        got = {"verdict": cmp_verdict, "cone_rays": rec["cone_rays"]}
+        rec["verdict"] = rep.verdict
+        got = {"verdict": rep.verdict, "cone_rays": rec["cone_rays"]}
         return rec, got
     if kind == "qc-cone":
-        rep = verify_formula_instance(
-            payload["qc"], payload["point"], payload["epsilon"],
-            which="qc", instance_id=case.ident,
-        )
         res = qc_sublevel_normal_cone(payload["qc"], payload["point"], payload["epsilon"])
+        rep = verify_result(
+            res, payload["qc"], payload["point"], which="qc", instance_id=case.ident
+        )
         rec = reports.cone_result_record("qc-cone", case.ident, res, rep)
         got = {"verdict": rep.verdict, "cone_rays": rec["cone_rays"]}
         return rec, got
@@ -710,7 +686,7 @@ def _random_block(seed: int) -> tuple[list[dict], int]:
         rec = {
             "kind": f"random-{which}",
             "id": ident,
-            "epsilon": reports.rat_text(eps),
+            "epsilon": format_rat(eps),
             "verdict": rep.verdict,
             "cone_rays": reports.rays_text(rep.formula_cone),
         }

@@ -320,6 +320,31 @@ def test_cli_refused_maps_to_exit_3(tmp_path, capsys) -> None:
     assert err.startswith("refused:")
 
 
+def test_cli_sizing_error_maps_to_exit_3(tmp_path, capsys, monkeypatch) -> None:
+    # The improper member's eps-normal set needs a double-description
+    # conversion; a one-generator cap makes its first step overflow.
+    from supcone.geometry import dd, sets
+
+    def capped(rows, dim, cap=None):
+        return dd.cone_rays(rows, dim, cap=1)
+
+    monkeypatch.setattr(sets, "cone_rays", capped)
+    fam = SupFamily(
+        2,
+        (
+            ("a", affine_function((1, 0), 0)),
+            ("i", ImproperFunction(2, polyhedron(2, [hs((0, 1), 0)]))),
+        ),
+    )
+    doc = instance_json("normal-cone", "capped", family=fam, point=vec((0, 0)), epsilon=F(1))
+    path = write_inst(tmp_path, doc)
+    code = main(["normal-cone", path, "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("refused: double description exceeded 1")
+
+
 def test_cli_gen_round_trip(tmp_path, capsys) -> None:
     code = main(["gen", "affine", "--seed", "11", "--count", "2", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out.strip().splitlines()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from supcone.errors import InputError
+from supcone.errors import InputError, InternalCheckError
 from supcone.geometry import lp
 from supcone.geometry.sets import (
     GeneratorSet,
@@ -29,6 +29,7 @@ from supcone.geometry.sets import (
     polyhedron,
     recession_cone,
     recession_of_generators,
+    sup_distance_to_cone,
     support_function,
     v_to_h,
     whole_space,
@@ -80,6 +81,22 @@ def test_lp_solve_unbounded_direction() -> None:
     assert res.status == lp.UNBOUNDED
     assert res.ray is not None
     assert res.ray[0] < 0
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [lp.EqLpResult(lp.OPTIMAL), lp.EqLpResult(lp.UNBOUNDED, point=[F(0)] * 6)],
+)
+def test_lp_solve_rejects_malformed_simplex_result(monkeypatch, malformed) -> None:
+    monkeypatch.setattr(lp, "solve_min_eq", lambda rows, rhs, cost: malformed)
+    with pytest.raises(InternalCheckError):
+        lp_solve(vec((1, 1)), unit_box())
+
+
+def test_sup_distance_rejects_malformed_simplex_result(monkeypatch) -> None:
+    monkeypatch.setattr(lp, "solve_min_eq", lambda rows, rhs, cost: lp.EqLpResult(lp.INFEASIBLE))
+    with pytest.raises(InternalCheckError):
+        sup_distance_to_cone(vec((1, 0)), cone(2, [vec((0, 1))]))
 
 
 def test_intersect_dim_check() -> None:
