@@ -294,8 +294,12 @@ def v_to_h(gen: GeneratorSet, cap: int = DEFAULT_ROW_CAP) -> PolyhedronH:
 
 
 def recession_cone(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
-    """{y : <n_i, y> <= 0 for all constraints} for nonempty P, else {theta}."""
-    if is_empty_poly(poly):
+    """{y : <n_i, y> <= 0 for all constraints} for nonempty P, else {theta}.
+
+    A polyhedron that contains the origin (every eps-hull does) is nonempty
+    without the emptiness LP.
+    """
+    if not poly_contains_point(poly, zero_vec(poly.dim)) and is_empty_poly(poly):
         return ConeGen(poly.dim, ())
     rays = cone_rays([h.normal for h in poly.halfspaces], poly.dim, cap=cap)
     return cone(poly.dim, rays)

@@ -171,6 +171,17 @@ def test_recession_cone_of_slab() -> None:
     assert not cone_contains(rc, vec((0, 1)))
 
 
+def test_recession_cone_skips_emptiness_lp_when_origin_inside(monkeypatch) -> None:
+    from supcone.geometry import sets
+
+    def no_lp(poly):
+        raise AssertionError("emptiness LP run on a polyhedron that contains the origin")
+
+    monkeypatch.setattr(sets, "is_empty_poly", no_lp)
+    slab = polyhedron(2, [hs((0, 1), 1), hs((0, -1), 1)])
+    assert cone_equal(recession_cone(slab), cone(2, rays=[vec((1, 0)), vec((-1, 0))]))
+
+
 def test_recession_of_generators_matches_rays() -> None:
     g = generators(2, points=[vec((1, 1))], rays=[vec((1, 0)), vec((1, 1))])
     rc = recession_of_generators(g)
