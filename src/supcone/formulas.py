@@ -6,18 +6,20 @@ The central construction: for f = sup_t f_t with x in [f <= 0] and eps > 0,
 
 where A_eps collects s * d_{eps/s} f_t(x) over s > 0 and the proper members t
 with s*f_t(x) >= -eps, and B_eps collects the eps-normal sets of the improper
-members' domains. Two evaluation modes:
+members' domains. Every contribution is a polyhedron, so the hull of the
+union has recession cone cone(rays of all contributions), and each cone here
+is formed directly from those rays; no hull is built. Two evaluation modes:
 
 * exact-affine: every proper member is one affine piece on the whole space;
   the union over s collapses to an exact segment (or ray) per member.
-* sampled: s runs over a finite geometric grid. Three exact limit
-  contributions keep the recession cone right on polyhedral data: the origin
-  (s -> 0), the scaled s_max = eps/(-f_t(x)) endpoint for inactive members,
-  and the rays through d_0 f_t(x) for active members (s -> infinity). Each is
-  a subset of the true closed hull, so the sampled cone never overshoots.
+* sampled: for polyhedral data the recession cone of s * d_{eps/s} f_t(x) is
+  N_{dom f_t}(x) for every s > 0 and eps > 0, so one eps-subdifferential per
+  proper member gives all its rays. The rays through d_0 f_t(x) of active
+  members (the s -> infinity limit) and the domain contributions complete
+  the cone. The s-grid is reported but cannot change the cone.
 
-A sampled result is flagged exact only when a refined grid reproduces the
-cone and the independent polyhedral oracle agrees.
+A sampled result is flagged exact when the independent polyhedral oracle
+agrees.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ from .geometry import (
     POS_INF,
     PolyhedronH,
     Vec,
-    closed_conv_hull_union,
     cone,
     cone_equal,
+    cone_rays,
     dot,
-    empty_generators,
     generators,
     h_to_v,
     intersect,
@@ -67,11 +68,6 @@ from .geometry import (
     poly_equal,
     polyhedron,
     rat,
-    recession_cone,
-    recession_of_generators,
-    scale_generators,
-    unit_vec,
-    v_to_h,
     vadd,
     vec,
     vscale,
@@ -226,7 +222,7 @@ MODE_SAMPLED = "sampled"
 @dataclass(frozen=True)
 class BranchRecord:
     member: str
-    branch: str  # "segment" | "active-ray" | "sample" | "s-max" | "origin" | "domain"
+    branch: str  # "segment" | "active-ray" | "recession" | "sample" | "origin" | "domain"
     s: Fraction | None
     points: int
     rays: int
@@ -235,7 +231,6 @@ class BranchRecord:
 @dataclass(frozen=True)
 class FormulaResult:
     cone: ConeGen
-    hull: GeneratorSet
     epsilon: Fraction
     mode: str  # "exact-affine" | "sampled" | "dom" | "qc"
     exact: bool
@@ -268,6 +263,12 @@ def _record(log: list[BranchRecord], member: str, branch: str, s, gen: Generator
     log.append(BranchRecord(member, branch, s, len(gen.points), len(gen.rays)))
 
 
+def _recession_of_union(dim: int, contributions: Sequence[GeneratorSet]) -> ConeGen:
+    """Recession cone of the closed convex hull of polyhedral contributions:
+    cone(all their rays); empty contributions carry no rays."""
+    return cone(dim, [r for g in contributions for r in g.rays])
+
+
 def sublevel_normal_cone_formula(
     family: SupFamily,
     x: Vec,
@@ -276,7 +277,13 @@ def sublevel_normal_cone_formula(
     mode: str = "auto",
     certify: bool = True,
 ) -> FormulaResult:
-    """Normal cone to [sup f_t <= 0] at x via the hull-of-contributions route."""
+    """Normal cone to [sup f_t <= 0] at x via the hull-of-contributions route.
+
+    In sampled mode grid_stable is True by construction: every contribution
+    s * d_{eps/s} f_t(x) has recession cone N_{dom f_t}(x) whatever s is, so
+    no grid, coarse or refined, changes the cone. certify=True compares the
+    cone with the oracle's; exact is that comparison.
+    """
     e = rat(eps)
     if e <= 0:
         raise InputError("eps must be positive")
@@ -299,11 +306,9 @@ def sublevel_normal_cone_formula(
         raise InputError(f"unknown mode {mode!r}")
 
     log: list[BranchRecord] = []
-    contributions: list[GeneratorSet] = []
-    origin = generators(family.dim, [zero_vec(family.dim)])
-
     if mode == MODE_EXACT_AFFINE:
-        contributions.append(origin)
+        origin = generators(family.dim, [zero_vec(family.dim)])
+        contributions: list[GeneratorSet] = [origin]
         _record(log, "*", "origin", None, origin)
         for ident, f in family.proper_items():
             a = f.pieces[0].slope
@@ -320,54 +325,34 @@ def sublevel_normal_cone_formula(
             g = eps_normal_set(f.domain, x, e)
             _record(log, ident, "domain", None, g)
             contributions.append(g)
-        hull = closed_conv_hull_union(contributions)
-        coneg = recession_of_generators(hull)
-        return FormulaResult(coneg, hull, e, MODE_EXACT_AFFINE, True, None, tuple(log))
+        coneg = _recession_of_union(family.dim, contributions)
+        return FormulaResult(coneg, e, MODE_EXACT_AFFINE, True, None, tuple(log))
 
-    sgrid = grid if grid is not None else DEFAULT_GRID
-    hull = _sampled_hull(family, x, e, sgrid, log)
-    coneg = recession_of_generators(hull)
-    stable: bool | None = None
+    coneg = _sampled_cone(family, x, e, log)
     agrees: bool | None = None
-    exact = False
     if certify:
-        fine_log: list[BranchRecord] = []
-        fine_hull = _sampled_hull(family, x, e, sgrid.refined(), fine_log)
-        stable = cone_equal(coneg, recession_of_generators(fine_hull))
         from . import oracle as _oracle  # late import; the oracle never imports back
 
         target = _oracle.sup_sublevel_polyhedron(family.functions())
         agrees = cone_equal(coneg, _oracle.polyhedron_normal_cone(target, x))
-        exact = bool(stable and agrees)
+    sgrid = grid if grid is not None else DEFAULT_GRID
     return FormulaResult(
-        coneg, hull, e, MODE_SAMPLED, exact, sgrid, tuple(log), stable, agrees
+        coneg, e, MODE_SAMPLED, bool(agrees), sgrid, tuple(log), True, agrees
     )
 
 
-def _sampled_hull(
-    family: SupFamily, x: Vec, e: Fraction, sgrid: SGrid, log: list[BranchRecord]
-) -> GeneratorSet:
+def _sampled_cone(
+    family: SupFamily, x: Vec, e: Fraction, log: list[BranchRecord]
+) -> ConeGen:
+    """cone(rays of d_eps f_t(x) per proper member, of the active members'
+    d_0 rays, and of the improper members' eps-normal sets)."""
     dim = family.dim
     contributions: list[GeneratorSet] = []
-    origin = generators(dim, [zero_vec(dim)])
-    contributions.append(origin)
-    _record(log, "*", "origin", None, origin)
     for ident, f in family.proper_items():
-        v = evaluate(f, x)
-        s_values = [s for s in sgrid.values if s * v >= -e]
-        if v < 0:
-            s_max = e / (-v)
-            if s_max not in s_values:
-                sub = eps_subdifferential(f, x, e / s_max)
-                g = scale_generators(s_max, sub)
-                _record(log, ident, "s-max", s_max, g)
-                contributions.append(g)
-        for s in s_values:
-            sub = eps_subdifferential(f, x, e / s)
-            g = scale_generators(s, sub)
-            _record(log, ident, "sample", s, g)
-            contributions.append(g)
-        if v == 0:
+        sub = eps_subdifferential(f, x, e)
+        _record(log, ident, "recession", None, sub)
+        contributions.append(sub)
+        if evaluate(f, x) == 0:
             sub0 = eps_subdifferential(f, x, 0)
             dirs = [p for p in sub0.points] + list(sub0.rays)
             g = generators(dim, [zero_vec(dim)], dirs)
@@ -377,7 +362,7 @@ def _sampled_hull(
         g = eps_normal_set(f.domain, x, e)
         _record(log, ident, "domain", None, g)
         contributions.append(g)
-    return closed_conv_hull_union(contributions)
+    return _recession_of_union(dim, contributions)
 
 
 @dataclass(frozen=True)
@@ -395,8 +380,10 @@ def sublevel_normal_cone_intersection(
     mode: str = "auto",
 ) -> IntersectionResult:
     """The intersection form: recession of the intersection of the per-eps
-    hulls. Every hull contains the origin, so the intersection is nonempty
-    and its recession cone is the intersection of the per-eps cones."""
+    hulls. Every hull contains the origin, so that recession cone is the
+    intersection of the per-eps cones (Rockafellar, Convex Analysis, Cor.
+    8.3.3); each cone enters through its polar's generators as homogeneous
+    rows. stabilized: dropping the last eps leaves the intersection as is."""
     eps_vals = [rat(v) for v in eps_list]
     if not eps_vals:
         raise InputError("need at least one eps value")
@@ -406,13 +393,14 @@ def sublevel_normal_cone_intersection(
         sublevel_normal_cone_formula(family, x, v, grid=grid, mode=mode, certify=False)
         for v in eps_vals
     )
-    current = v_to_h(results[0].hull)
-    prev_cone: ConeGen | None = None
-    final = recession_cone(current)
-    for res in results[1:]:
-        current = intersect(current, v_to_h(res.hull))
-        prev_cone, final = final, recession_cone(current)
-    stabilized = prev_cone is not None and cone_equal(prev_cone, final)
+    dim = family.dim
+    polars = [cone_rays(list(res.cone.rays), dim) for res in results]
+
+    def meet(rows: list[list[Vec]]) -> ConeGen:
+        return cone(dim, cone_rays([r for p in rows for r in p], dim))
+
+    final = meet(polars)
+    stabilized = len(polars) > 1 and cone_equal(meet(polars[:-1]), final)
     return IntersectionResult(final, results, stabilized)
 
 
@@ -508,16 +496,15 @@ def dom_sup_normal_cone(
     contributions = []
     for ident, f in family.proper_items():
         a = chosen[ident]
-        g = scale_generators(a, eps_subdifferential(f, x, e / a))
-        _record(log, ident, "sample", a, g)
-        contributions.append(g)
+        sub = eps_subdifferential(f, x, e / a)
+        _record(log, ident, "sample", a, sub)
+        contributions.append(sub)
     for ident, f in family.improper_items():
         g = eps_normal_set(f.domain, x, e)
         _record(log, ident, "domain", None, g)
         contributions.append(g)
-    hull = closed_conv_hull_union(contributions)
-    coneg = recession_of_generators(hull)
-    return FormulaResult(coneg, hull, e, "dom", True, None, tuple(log))
+    coneg = _recession_of_union(family.dim, contributions)
+    return FormulaResult(coneg, e, "dom", True, None, tuple(log))
 
 
 # --- quasi-convex members -----------------------------------------------------
@@ -842,9 +829,8 @@ def qc_sublevel_normal_cone(
         g = eps_normal_set(m.sublevel, x, e)
         _record(log, m.ident, "domain", None, g)
         contributions.append(g)
-    hull = closed_conv_hull_union(contributions)
-    coneg = recession_of_generators(hull)
-    return FormulaResult(coneg, hull, e, "qc", True, None, tuple(log))
+    coneg = _recession_of_union(qc.dim, contributions)
+    return FormulaResult(coneg, e, "qc", True, None, tuple(log))
 
 
 # --- sampled outer estimate and the inclusion certificate ----------------------

@@ -132,7 +132,12 @@ def sublevel_set(f: PolyhedralFunction, level) -> PolyhedronH:
     return polyhedron(f.dim, hs)
 
 
-@lru_cache(maxsize=None)
+# Entries per cache. Both key on frozen dataclasses, so the bound keeps a long
+# suite run or an embedding process from growing them without limit.
+CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
     """Generators of epi f in R^(dim+1): piece rows become <(a,-1),(y,r)> <= -b."""
     rows = [HalfSpace(p.slope + (Fraction(-1),), -p.intercept) for p in f.pieces]
@@ -140,7 +145,7 @@ def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
     return h_to_v(polyhedron(f.dim + 1, rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _eps_subdifferential_cached(f: PolyhedralFunction, x: Vec, eps: Fraction) -> GeneratorSet:
     fx = evaluate(f, x)
     if fx == POS_INF:

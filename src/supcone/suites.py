@@ -568,7 +568,7 @@ def _dispatch(case: SuiteCase, payload: dict, mutate: bool) -> tuple[dict, dict]
         )
         rep = verify_result(res, payload["family"], payload["point"], instance_id=case.ident)
         verdict, formula_cone = rep.verdict, res.cone
-        if mutate and case.ident == _MUTATION_TARGET:
+        if mutate:
             formula_cone, verdict = _tampered(rep)
         rec = reports.cone_result_record("normal-cone", case.ident, res)
         rec["verdict"] = verdict
@@ -732,13 +732,19 @@ def _random_block(seed: int) -> tuple[list[dict], int]:
 def run_suite(seed: int = 7, mutate: str | None = None) -> tuple[list[dict], int]:
     """Run curated cases plus a seeded random block.
 
-    mutate: identifier of the case whose computed cone gets a bogus extra ray
-    ("first" targets the designated default). Returns (records, failures).
+    mutate: identifier of the curated normal-cone case whose computed cone
+    gets a bogus extra ray ("first" targets the designated default); any
+    other identifier is an InputError. Returns (records, failures).
     """
     records: list[dict] = []
     failures = 0
     target = _MUTATION_TARGET if mutate in ("first", "") else mutate
-    for case in curated_cases():
+    cases = curated_cases()
+    if target is not None and not any(
+        c.ident == target and c.kind == "normal-cone" for c in cases
+    ):
+        raise InputError(f"mutation target must be a curated normal-cone case, got {target!r}")
+    for case in cases:
         rec, ok = run_case(case, mutate=(target == case.ident))
         records.append(rec)
         if not ok:
@@ -767,6 +773,6 @@ def run_suite(seed: int = 7, mutate: str | None = None) -> tuple[list[dict], int
         "total": len(records),
         "passed": len(records) - failures,
         "failed": failures,
-        "mutated": bool(mutate),
+        "mutated": target is not None,
     })
     return records, failures

@@ -396,6 +396,26 @@ def test_cli_suite_mutation_hook_trips(capsys) -> None:
     assert '"violation"' in out
 
 
+def test_cli_suite_mutation_hook_trips_named_case(capsys) -> None:
+    code = main(["suite", "--seed", "7", "--mutate", "nc-edge", "--format", "machine"])
+    records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert code == 1
+    tampered = [r for r in records if r.get("id") == "nc-edge"]
+    assert tampered[0]["verdict"] == "violation"
+    assert tampered[0]["outcome"] == "fail"
+    assert [r["id"] for r in records if r.get("verdict") == "violation"] == ["nc-edge"]
+    assert records[-1]["mutated"] is True
+
+
+@pytest.mark.parametrize("target", ["no-such-case", "nc-strict-slater"])
+def test_cli_suite_mutation_target_must_be_normal_cone_case(capsys, target) -> None:
+    code = main(["suite", "--seed", "7", "--mutate", target, "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "normal-cone" in captured.err
+
+
 def test_cli_report_out_file(tmp_path) -> None:
     path = write_inst(tmp_path, corner_instance())
     out = tmp_path / "rep.json"

@@ -1,0 +1,134 @@
+"""Every normal cone is formed from the rays of its contributions.
+
+The references below rebuild the hull route from public pieces: a sampled
+hull over the whole s-grid (eps_subdifferential, scale_generators,
+closed_conv_hull_union) and an intersection form that converts every hull
+to halfspaces and takes the recession cone of their intersection. The cones
+from the rays alone must match them generator for generator, not merely as
+sets, since reports print the generators.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from supcone import functions
+from supcone.formulas import (
+    DEFAULT_GRID,
+    SGrid,
+    sublevel_normal_cone_formula,
+    sublevel_normal_cone_intersection,
+)
+from supcone.functions import eps_normal_set, eps_subdifferential, evaluate
+from supcone.generate import random_affine_family, random_max_affine_family
+from supcone.geometry import (
+    closed_conv_hull_union,
+    cone_equal,
+    generators,
+    intersect,
+    recession_cone,
+    recession_of_generators,
+    scale_generators,
+    v_to_h,
+    vscale,
+    zero_vec,
+)
+from supcone.suites import curated_sampled_instances
+from test_single_evaluation import count_calls
+
+F = Fraction
+
+
+def sampled_hull(family, x, e, grid):
+    """conv of the origin, s * d_{e/s} f_t(x) for every admissible grid value
+    s (plus s_max = e/(-f_t(x)) for inactive members), the d_0 rays of
+    active members and the improper members' e-normal sets."""
+    dim = family.dim
+    parts = [generators(dim, [zero_vec(dim)])]
+    for _, f in family.proper_items():
+        v = evaluate(f, x)
+        s_values = [s for s in grid.values if s * v >= -e]
+        if v < 0 and e / (-v) not in s_values:
+            s_values.append(e / (-v))
+        for s in s_values:
+            parts.append(scale_generators(s, eps_subdifferential(f, x, e / s)))
+        if v == 0:
+            sub0 = eps_subdifferential(f, x, 0)
+            parts.append(generators(dim, [zero_vec(dim)], sub0.points + sub0.rays))
+    for _, f in family.improper_items():
+        parts.append(eps_normal_set(f.domain, x, e))
+    return closed_conv_hull_union(parts)
+
+
+def exact_affine_hull(family, x, e):
+    dim = family.dim
+    parts = [generators(dim, [zero_vec(dim)])]
+    for _, f in family.proper_items():
+        a, v = f.pieces[0].slope, evaluate(f, x)
+        if v == 0:
+            parts.append(generators(dim, [zero_vec(dim)], [a]))
+        else:
+            parts.append(generators(dim, [zero_vec(dim), vscale(e / (-v), a)]))
+    for _, f in family.improper_items():
+        parts.append(eps_normal_set(f.domain, x, e))
+    return closed_conv_hull_union(parts)
+
+
+def hull_intersection(hulls):
+    """(cone, stabilized) of the recession of the intersected hulls."""
+    current = v_to_h(hulls[0])
+    prev, final = None, recession_cone(current)
+    for h in hulls[1:]:
+        current = intersect(current, v_to_h(h))
+        prev, final = final, recession_cone(current)
+    return final, prev is not None and cone_equal(prev, final)
+
+
+@pytest.mark.parametrize("seed", range(3000, 3006))
+def test_sampled_cone_matches_grid_hull_on_criterion_02_families(seed) -> None:
+    g = random_max_affine_family(random.Random(seed))
+    res = sublevel_normal_cone_formula(g.family, g.point, g.epsilon, mode="sampled")
+    want = recession_of_generators(sampled_hull(g.family, g.point, g.epsilon, DEFAULT_GRID))
+    assert res.cone == want
+    assert res.grid_stable is True
+    assert res.exact == res.oracle_agrees
+
+
+def test_sampled_cone_matches_grid_hull_on_curated_instances() -> None:
+    grid = SGrid.geometric(min_exp=-2, max_exp=2)
+    for ident, g in curated_sampled_instances():
+        res = sublevel_normal_cone_formula(g.family, g.point, g.epsilon, mode="sampled")
+        want = recession_of_generators(sampled_hull(g.family, g.point, g.epsilon, grid))
+        assert res.cone == want, ident
+        assert res.exact, ident
+
+
+@pytest.mark.parametrize("seed", range(1000, 1040))
+def test_intersection_matches_hull_intersection_on_criterion_03_families(seed) -> None:
+    g = random_affine_family(random.Random(seed))
+    for eps_list in ((F(1), F(1, 2), F(1, 4)), (F(1, 3), F(1, 9))):
+        res = sublevel_normal_cone_intersection(g.family, g.point, eps_list, mode="exact-affine")
+        hulls = [exact_affine_hull(g.family, g.point, e) for e in eps_list]
+        assert [per.cone for per in res.per_eps] == [recession_of_generators(h) for h in hulls]
+        assert (res.cone, res.stabilized) == hull_intersection(hulls)
+
+
+@pytest.mark.parametrize("seed", range(3000, 3003))
+def test_sampled_intersection_matches_hull_intersection(seed) -> None:
+    g = random_max_affine_family(random.Random(seed))
+    grid = SGrid.geometric(min_exp=-2, max_exp=2)
+    eps_list = (g.epsilon, g.epsilon / 2)
+    res = sublevel_normal_cone_intersection(g.family, g.point, eps_list, grid=grid, mode="sampled")
+    hulls = [sampled_hull(g.family, g.point, e, grid) for e in eps_list]
+    assert (res.cone, res.stabilized) == hull_intersection(hulls)
+
+
+@pytest.mark.parametrize("grid", [SGrid.from_values([1]), SGrid.geometric(min_exp=-2, max_exp=2), DEFAULT_GRID])
+def test_sampled_mode_takes_at_most_two_eps_subdifferentials_per_member(monkeypatch, grid) -> None:
+    calls = count_calls(monkeypatch, functions.eps_subdifferential)
+    for seed in range(3000, 3004):
+        g = random_max_affine_family(random.Random(seed))
+        calls.clear()
+        sublevel_normal_cone_formula(g.family, g.point, g.epsilon, grid=grid, mode="sampled")
+        assert 0 < len(calls) <= 2 * len(g.family.proper_items())

@@ -133,7 +133,7 @@ def test_suite_case_evaluates_formula_once(monkeypatch, ident, which, mutate):
     rec, ok = run_case(case, mutate=mutate)
 
     assert len(formula_calls) == 1
-    tampered = mutate and ident == "nc-corner"
+    tampered = mutate and case.kind == "normal-cone"
     assert len(compare_calls) == (2 if tampered else 1)
     assert ok is not tampered
     assert rec["verdict"] == ("violation" if tampered else "equal")
