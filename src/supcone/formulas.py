@@ -8,25 +8,27 @@ where A_eps collects s * d_{eps/s} f_t(x) over s > 0 and the proper members t
 with s*f_t(x) >= -eps, and B_eps collects the eps-normal sets of the improper
 members' domains. Every contribution is a polyhedron, so the hull of the
 union has recession cone cone(rays of all contributions), and each cone here
-is formed directly from those rays; no hull is built. Two evaluation modes:
+is formed directly from those rays; no hull is built.
 
-* exact-affine: every proper member is one affine piece on the whole space;
-  the union over s collapses to an exact segment (or ray) per member.
-* sampled: for polyhedral data the recession cone of s * d_{eps/s} f_t(x) is
-  N_{dom f_t}(x) for every s > 0 and eps > 0, so one eps-subdifferential per
-  proper member gives all its rays. The rays through d_0 f_t(x) of active
-  members (the s -> infinity limit) and the domain contributions complete
-  the cone. The s-grid is reported but cannot change the cone.
+For polyhedral data the recession cone of s * d_{eps/s} f_t(x) is
+N_{dom f_t}(x) whatever s and eps are, so one ray collection serves both
+evaluation modes: the rays of d_eps f_t(x) for each proper member with a
+restricted domain, the rays through d_0 f_t(x) of the active members (the
+s -> infinity limit), and the rays of the improper members' eps-normal sets.
+The modes differ only in what they check and report:
 
-A sampled result is flagged exact when the independent polyhedral oracle
-agrees.
+* exact-affine: every proper member must be one affine piece on the whole
+  space; the result is exact by construction.
+* sampled: any polyhedral members; the s-grid is reported but cannot change
+  the cone, and the result is flagged exact when the independent polyhedral
+  oracle agrees.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -48,7 +50,6 @@ from .functions import (
 )
 from .geometry import (
     ConeGen,
-    GeneratorSet,
     HalfSpace,
     NEG_INF,
     POS_INF,
@@ -124,21 +125,6 @@ def evaluate_sup(family: SupFamily, x: Vec):
     return best
 
 
-def near_attaining_set(family: SupFamily, x: Vec, eps) -> list[str]:
-    """T_eps(x) = {t : f_t(x) >= f(x) - eps}; improper members never qualify."""
-    e = rat(eps)
-    if e < 0:
-        raise InputError("eps must be nonnegative")
-    fx = evaluate_sup(family, x)
-    if fx == POS_INF or fx == NEG_INF:
-        raise PreconditionError("f(x) must be finite")
-    out = []
-    for ident, f in family.members:
-        if isinstance(f, PolyhedralFunction) and evaluate(f, x) >= fx - e:
-            out.append(ident)
-    return out
-
-
 def reach_weights(family: SupFamily, x: Vec, eps) -> dict[str, Fraction]:
     """Per proper member: 1 on the near-attaining set, else
     -eps / (2 f_t(x) - 2 f(x) + eps), always in (0, 1]."""
@@ -160,21 +146,6 @@ def reach_weights(family: SupFamily, x: Vec, eps) -> dict[str, Fraction]:
         else:
             out[ident] = -e / (2 * v - 2 * fx + e)
     return out
-
-
-def active_index_set(family: SupFamily, x: Vec, eps, s) -> list[str]:
-    """{t proper : s * f_t(x) >= -eps}, the members admitted at grid value s."""
-    e, sv = rat(eps), rat(s)
-    if e <= 0 or sv <= 0:
-        raise InputError("eps and s must be positive")
-    fx = evaluate_sup(family, x)
-    if fx == POS_INF or fx == NEG_INF or fx > 0:
-        raise PreconditionError("x must satisfy f(x) <= 0 with f(x) finite")
-    return [
-        ident
-        for ident, f in family.members
-        if isinstance(f, PolyhedralFunction) and sv * evaluate(f, x) >= -e
-    ]
 
 
 @dataclass(frozen=True)
@@ -220,22 +191,12 @@ MODE_SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
-class BranchRecord:
-    member: str
-    branch: str  # "segment" | "active-ray" | "recession" | "sample" | "origin" | "domain"
-    s: Fraction | None
-    points: int
-    rays: int
-
-
-@dataclass(frozen=True)
 class FormulaResult:
     cone: ConeGen
     epsilon: Fraction
     mode: str  # "exact-affine" | "sampled" | "dom" | "qc"
     exact: bool
     grid: SGrid | None = None
-    branch_log: tuple[BranchRecord, ...] = ()
     grid_stable: bool | None = None
     oracle_agrees: bool | None = None
 
@@ -259,14 +220,36 @@ def _check_sublevel_point(family: SupFamily, x: Vec):
     return fx
 
 
-def _record(log: list[BranchRecord], member: str, branch: str, s, gen: GeneratorSet) -> None:
-    log.append(BranchRecord(member, branch, s, len(gen.points), len(gen.rays)))
+def _subdifferential_rays(f: PolyhedralFunction, x: Vec, e: Fraction) -> tuple[Vec, ...]:
+    """Rays of d_e f(x). On the whole space d_e f(x) lies in the hull of the
+    slopes and has none, so only a member with domain rows is converted."""
+    if not f.domain.halfspaces:
+        return ()
+    return eps_subdifferential(f, x, e).rays
 
 
-def _recession_of_union(dim: int, contributions: Sequence[GeneratorSet]) -> ConeGen:
-    """Recession cone of the closed convex hull of polyhedral contributions:
-    cone(all their rays); empty contributions carry no rays."""
-    return cone(dim, [r for g in contributions for r in g.rays])
+def _sublevel_rays(family: SupFamily, x: Vec, e: Fraction) -> list[Vec]:
+    """Rays of every contribution to A_e union B_e; their cone is N_[f<=0](x).
+
+    An active member adds the rays through d_0 f(x), which is {a} for a plain
+    affine member. Those rays are pruned per member: for a non-pointed cone
+    the generators cone() keeps depend on the set it is given.
+    """
+    dim = family.dim
+    rays: list[Vec] = []
+    for _, f in family.members:
+        if isinstance(f, ImproperFunction):
+            rays.extend(eps_normal_set(f.domain, x, e).rays)
+            continue
+        rays.extend(_subdifferential_rays(f, x, e))
+        if evaluate(f, x) == 0:
+            if _is_plain_affine(f):
+                dirs = [f.pieces[0].slope]
+            else:
+                sub0 = eps_subdifferential(f, x, 0)
+                dirs = list(sub0.points) + list(sub0.rays)
+            rays.extend(generators(dim, [zero_vec(dim)], dirs).rays)
+    return rays
 
 
 def sublevel_normal_cone_formula(
@@ -277,9 +260,11 @@ def sublevel_normal_cone_formula(
     mode: str = "auto",
     certify: bool = True,
 ) -> FormulaResult:
-    """Normal cone to [sup f_t <= 0] at x via the hull-of-contributions route.
+    """Normal cone to [sup f_t <= 0] at x: the cone of _sublevel_rays.
 
-    In sampled mode grid_stable is True by construction: every contribution
+    The mode picks only the validation and the reported fields. Exact-affine
+    checks that every proper member is plain affine and is exact by
+    construction. In sampled mode grid_stable is True by construction: every contribution
     s * d_{eps/s} f_t(x) has recession cone N_{dom f_t}(x) whatever s is, so
     no grid, coarse or refined, changes the cone. certify=True compares the
     cone with the oracle's; exact is that comparison.
@@ -305,30 +290,10 @@ def sublevel_normal_cone_formula(
     elif mode != MODE_SAMPLED:
         raise InputError(f"unknown mode {mode!r}")
 
-    log: list[BranchRecord] = []
+    coneg = cone(family.dim, _sublevel_rays(family, x, e))
     if mode == MODE_EXACT_AFFINE:
-        origin = generators(family.dim, [zero_vec(family.dim)])
-        contributions: list[GeneratorSet] = [origin]
-        _record(log, "*", "origin", None, origin)
-        for ident, f in family.proper_items():
-            a = f.pieces[0].slope
-            v = evaluate(f, x)
-            if v == 0:
-                g = generators(family.dim, [zero_vec(family.dim)], [a])
-                _record(log, ident, "active-ray", None, g)
-            else:
-                s_max = e / (-v)
-                g = generators(family.dim, [zero_vec(family.dim), vscale(s_max, a)])
-                _record(log, ident, "segment", s_max, g)
-            contributions.append(g)
-        for ident, f in family.improper_items():
-            g = eps_normal_set(f.domain, x, e)
-            _record(log, ident, "domain", None, g)
-            contributions.append(g)
-        coneg = _recession_of_union(family.dim, contributions)
-        return FormulaResult(coneg, e, MODE_EXACT_AFFINE, True, None, tuple(log))
+        return FormulaResult(coneg, e, MODE_EXACT_AFFINE, True)
 
-    coneg = _sampled_cone(family, x, e, log)
     agrees: bool | None = None
     if certify:
         from . import oracle as _oracle  # late import; the oracle never imports back
@@ -336,33 +301,7 @@ def sublevel_normal_cone_formula(
         target = _oracle.sup_sublevel_polyhedron(family.functions())
         agrees = cone_equal(coneg, _oracle.polyhedron_normal_cone(target, x))
     sgrid = grid if grid is not None else DEFAULT_GRID
-    return FormulaResult(
-        coneg, e, MODE_SAMPLED, bool(agrees), sgrid, tuple(log), True, agrees
-    )
-
-
-def _sampled_cone(
-    family: SupFamily, x: Vec, e: Fraction, log: list[BranchRecord]
-) -> ConeGen:
-    """cone(rays of d_eps f_t(x) per proper member, of the active members'
-    d_0 rays, and of the improper members' eps-normal sets)."""
-    dim = family.dim
-    contributions: list[GeneratorSet] = []
-    for ident, f in family.proper_items():
-        sub = eps_subdifferential(f, x, e)
-        _record(log, ident, "recession", None, sub)
-        contributions.append(sub)
-        if evaluate(f, x) == 0:
-            sub0 = eps_subdifferential(f, x, 0)
-            dirs = [p for p in sub0.points] + list(sub0.rays)
-            g = generators(dim, [zero_vec(dim)], dirs)
-            _record(log, ident, "active-ray", None, g)
-            contributions.append(g)
-    for ident, f in family.improper_items():
-        g = eps_normal_set(f.domain, x, e)
-        _record(log, ident, "domain", None, g)
-        contributions.append(g)
-    return _recession_of_union(dim, contributions)
+    return FormulaResult(coneg, e, MODE_SAMPLED, bool(agrees), sgrid, True, agrees)
 
 
 @dataclass(frozen=True)
@@ -413,26 +352,6 @@ def singleton_sublevel_normal_cone(
     return sublevel_normal_cone_formula(fam, x, eps, grid=grid, mode=mode)
 
 
-def strict_feasibility_margin(family: SupFamily):
-    """max delta <= 1 with every proper piece <= -delta and domains respected;
-    positive iff [f < 0] meets f^{-1}(R)."""
-    d = family.dim
-    rows = []
-    for _, f in family.proper_items():
-        for p in f.pieces:
-            rows.append(HalfSpace(p.slope + (Fraction(1),), -p.intercept))
-        for h in f.domain.halfspaces:
-            rows.append(HalfSpace(h.normal + (Fraction(0),), h.offset))
-    for _, f in family.improper_items():
-        for h in f.domain.halfspaces:
-            rows.append(HalfSpace(h.normal + (Fraction(0),), h.offset))
-    rows.append(HalfSpace(zero_vec(d) + (Fraction(1),), Fraction(1)))
-    res = lp_solve(zero_vec(d) + (Fraction(1),), polyhedron(d + 1, rows))
-    if res.status != lp.OPTIMAL:
-        return None
-    return res.value, res.point[:d]
-
-
 def strict_sublevel_normal_cone(
     family: SupFamily,
     x: Vec,
@@ -445,8 +364,11 @@ def strict_sublevel_normal_cone(
     construction applies unchanged."""
     if not family.proper_items():
         raise PreconditionError("[f < 0] meets f^{-1}(R) only if some member is proper")
-    margin = strict_feasibility_margin(family)
-    if margin is None or margin[0] <= 0:
+    pieces = [
+        HalfSpace(p.slope, -p.intercept) for _, f in family.proper_items() for p in f.pieces
+    ]
+    domains = [h for _, f in family.members for h in f.domain.halfspaces]
+    if not _mixed_system_nonempty(family.dim, pieces, domains):
         raise RefusedError("no strictly feasible point: [f < 0] never meets f^{-1}(R)")
     return sublevel_normal_cone_formula(family, x, eps, grid=grid, mode=mode)
 
@@ -492,19 +414,13 @@ def dom_sup_normal_cone(
             raise PreconditionError(
                 f"alpha[{ident!r}] = {chosen[ident]} is below the reach weight {w}"
             )
-    log: list[BranchRecord] = []
-    contributions = []
-    for ident, f in family.proper_items():
-        a = chosen[ident]
-        sub = eps_subdifferential(f, x, e / a)
-        _record(log, ident, "sample", a, sub)
-        contributions.append(sub)
-    for ident, f in family.improper_items():
-        g = eps_normal_set(f.domain, x, e)
-        _record(log, ident, "domain", None, g)
-        contributions.append(g)
-    coneg = _recession_of_union(family.dim, contributions)
-    return FormulaResult(coneg, e, "dom", True, None, tuple(log))
+    rays = [
+        r for ident, f in family.proper_items()
+        for r in _subdifferential_rays(f, x, e / chosen[ident])
+    ]
+    for _, f in family.improper_items():
+        rays.extend(eps_normal_set(f.domain, x, e).rays)
+    return FormulaResult(cone(family.dim, rays), e, "dom", True)
 
 
 # --- quasi-convex members -----------------------------------------------------
@@ -823,14 +739,8 @@ def qc_sublevel_normal_cone(
                 f"closure compatibility failed (witness {cc.witness}); "
                 "the intersection formula is not justified for this family"
             )
-    log: list[BranchRecord] = []
-    contributions = []
-    for m in qc.members:
-        g = eps_normal_set(m.sublevel, x, e)
-        _record(log, m.ident, "domain", None, g)
-        contributions.append(g)
-    coneg = _recession_of_union(qc.dim, contributions)
-    return FormulaResult(coneg, e, "qc", True, None, tuple(log))
+    rays = [r for m in qc.members for r in eps_normal_set(m.sublevel, x, e).rays]
+    return FormulaResult(cone(qc.dim, rays), e, "qc", True)
 
 
 # --- sampled outer estimate and the inclusion certificate ----------------------

@@ -120,10 +120,6 @@ def evaluate(f: ExtendedFunction, y: Vec):
     return max(p.value(y) for p in f.pieces)
 
 
-def is_proper(f: ExtendedFunction) -> bool:
-    return isinstance(f, PolyhedralFunction) and not is_empty_poly(f.domain)
-
-
 def sublevel_set(f: PolyhedralFunction, level) -> PolyhedronH:
     """[f <= level] = domain cut by every piece at the level."""
     c = rat(level)
@@ -132,7 +128,7 @@ def sublevel_set(f: PolyhedralFunction, level) -> PolyhedronH:
     return polyhedron(f.dim, hs)
 
 
-# Entries per cache. Both key on frozen dataclasses, so the bound keeps a long
+# Entries per cache. All key on frozen dataclasses, so the bound keeps a long
 # suite run or an embedding process from growing them without limit.
 CACHE_SIZE = 1024
 
@@ -143,6 +139,12 @@ def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
     rows = [HalfSpace(p.slope + (Fraction(-1),), -p.intercept) for p in f.pieces]
     rows.extend(HalfSpace(h.normal + (Fraction(0),), h.offset) for h in f.domain.halfspaces)
     return h_to_v(polyhedron(f.dim + 1, rows))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def domain_generators(domain: PolyhedronH) -> GeneratorSet:
+    """Generators of a domain; eps_normal_set reads them at every eps."""
+    return h_to_v(domain)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -188,7 +190,7 @@ def eps_normal_set(domain: PolyhedronH, x: Vec, eps) -> GeneratorSet:
         raise InputError("eps must be nonnegative")
     if not poly_contains_point(domain, x):
         return empty_generators(domain.dim)
-    gen = h_to_v(domain)
+    gen = domain_generators(domain)
     if gen.is_empty:
         return empty_generators(domain.dim)
     hs = [HalfSpace(vsub(p, x), e) for p in gen.points]

@@ -70,10 +70,6 @@ def vscale(s: Fraction, a: Vec) -> Vec:
     return tuple(s * x for x in a)
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 

@@ -167,22 +167,13 @@ def _validate_qualification(prog: ProgramInstance) -> None:
 def _membership_certificate(
     sub0: GeneratorSet, k: ConeGen
 ) -> Certificate | None:
-    """theta in sub0 + cone(k)? Solve for the multipliers directly so each
-    coefficient stays attached to its generator."""
+    """theta in sub0 + cone(k)? The multipliers come back in column order,
+    so each coefficient stays attached to its generator."""
     d = sub0.dim
-    pts, rys, krs = list(sub0.points), list(sub0.rays), list(k.rays)
-    cols = pts + rys + krs
-    rows = []
-    rhs = []
-    for kk in range(d):
-        rows.append([c[kk] for c in cols])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * len(pts) + [Fraction(0)] * (len(rys) + len(krs)))
-    rhs.append(Fraction(1))
-    res = lp.solve_min_eq(rows, rhs, [Fraction(0)] * len(cols))
-    if res.status != lp.OPTIMAL:
+    pts, rys, krs = sub0.points, sub0.rays, k.rays
+    mu = generator_member(GeneratorSet(d, pts, rys + krs), zero_vec(d))
+    if mu is None:
         return None
-    mu = res.point
     np_, nr = len(pts), len(rys)
     g0 = zero_vec(d)
     for v, c in zip(pts + rys, mu[: np_ + nr]):
@@ -193,9 +184,9 @@ def _membership_certificate(
     return Certificate(
         g0,
         q,
-        tuple((v, c) for v, c in zip(pts, mu[:np_])),
-        tuple((v, c) for v, c in zip(rys, mu[np_ : np_ + nr])),
-        tuple((v, c) for v, c in zip(krs, mu[np_ + nr :])),
+        tuple(zip(pts, mu[:np_])),
+        tuple(zip(rys, mu[np_ : np_ + nr])),
+        tuple(zip(krs, mu[np_ + nr :])),
         k,
     )
 

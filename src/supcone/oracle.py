@@ -28,7 +28,6 @@ from .geometry import (
     Vec,
     cone,
     cone_contains,
-    cone_equal,
     dot,
     intersect,
     poly_contains_point,
@@ -94,7 +93,8 @@ def compare_cones(formula_cone: ConeGen, oracle_cone: ConeGen):
     for r in formula_cone.rays:
         if not cone_contains(oracle_cone, r):
             return VIOLATION, r
-    if cone_equal(formula_cone, oracle_cone):
+    # the formula cone is inside the oracle cone; equal iff the converse holds
+    if all(cone_contains(formula_cone, r) for r in oracle_cone.rays):
         return EQUAL, None
     return INSIDE, None
 

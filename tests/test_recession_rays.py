@@ -17,16 +17,27 @@ from supcone import functions
 from supcone.formulas import (
     DEFAULT_GRID,
     SGrid,
+    SupFamily,
+    dom_sup_normal_cone,
     sublevel_normal_cone_formula,
     sublevel_normal_cone_intersection,
 )
-from supcone.functions import eps_normal_set, eps_subdifferential, evaluate
-from supcone.generate import random_affine_family, random_max_affine_family
+from supcone.functions import (
+    ImproperFunction,
+    affine_function,
+    eps_normal_set,
+    eps_subdifferential,
+    evaluate,
+)
+from supcone.generate import random_affine_family, random_dom_family, random_max_affine_family
 from supcone.geometry import (
     closed_conv_hull_union,
     cone_equal,
     generators,
+    h_to_v,
+    halfspace,
     intersect,
+    polyhedron,
     recession_cone,
     recession_of_generators,
     scale_generators,
@@ -132,3 +143,36 @@ def test_sampled_mode_takes_at_most_two_eps_subdifferentials_per_member(monkeypa
         calls.clear()
         sublevel_normal_cone_formula(g.family, g.point, g.epsilon, grid=grid, mode="sampled")
         assert 0 < len(calls) <= 2 * len(g.family.proper_items())
+
+
+def test_plain_affine_members_take_no_eps_subdifferential(monkeypatch) -> None:
+    # d_eps of an affine member on the whole space is bounded: no rays
+    calls = count_calls(monkeypatch, functions.eps_subdifferential)
+    for seed in range(1000, 1010):
+        g = random_affine_family(random.Random(seed))
+        sublevel_normal_cone_formula(g.family, g.point, g.epsilon, mode="sampled")
+    assert calls == []
+
+
+def test_dom_cone_converts_only_members_with_domain_rows(monkeypatch) -> None:
+    calls = count_calls(monkeypatch, functions.eps_subdifferential)
+    skipped = 0
+    for seed in range(4000, 4010):
+        g = random_dom_family(random.Random(seed))
+        calls.clear()
+        dom_sup_normal_cone(g.family, g.point, g.epsilon, g.alpha)
+        proper = [f for _, f in g.family.proper_items()]
+        restricted = [f for f in proper if f.domain.halfspaces]
+        assert [args[0] for args, _ in calls] == restricted
+        skipped += len(proper) - len(restricted)
+    assert skipped > 0
+
+
+def test_intersection_converts_each_domain_once_per_eps_list(monkeypatch) -> None:
+    dom = polyhedron(2, [halfspace((1, 0), 0)])
+    fam = SupFamily(2, (("a", affine_function((0, 1), 0)), ("imp", ImproperFunction(2, dom))))
+    functions.domain_generators.cache_clear()
+    calls = count_calls(monkeypatch, h_to_v)
+    res = sublevel_normal_cone_intersection(fam, (F(0), F(0)), (F(1), F(1, 2), F(1, 4)))
+    assert res.stabilized
+    assert sum(1 for args, _ in calls if args[0] == dom) == 1
