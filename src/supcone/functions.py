@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import InputError, InternalCheckError, PreconditionError, RefusedError
+from .errors import InputError, InternalCheckError, RefusedError
 from .geometry import (
     GeneratorSet,
     HalfSpace,
@@ -33,7 +33,6 @@ from .geometry import (
     Vec,
     dot,
     empty_generators,
-    generators,
     h_to_v,
     is_empty_poly,
     poly_contains_point,

@@ -7,81 +7,102 @@ combinatorial adjacency test is only valid for pointed cones, and this
 sidesteps separate lineality bookkeeping. Constraints are inserted in
 lexicographic order of their primitive forms and the output is sorted, so the
 conversion is deterministic. Intermediate generator counts are capped.
+
+The conversion runs on Python ints. Every row is first scaled to its
+primitive integer form, so the lifted rows and every intermediate ray are
+integer vectors; each new ray dp*xn - dn*xp is divided by the gcd of its
+coordinates. A ray's zero set (the orthant coordinates and inserted rows
+tight at it) is an int bitmask: bit i for coordinate i of (u, v), bit
+2*dim + j for the j-th inserted row. Two rays are adjacent iff no other ray's
+zero set contains their common zero set, that is iff ``common & z == common``
+holds for no third ray. Fractions appear only at the boundary: the rows come
+in as rationals and the rays leave as tuples of integral Fractions.
+
+Output contract: the result is a generating set that depends on the cone
+alone, not on the order, multiplicity or redundancy of its rows. It is not
+the set of extreme rays. The lifted cone is pointed, so the conversion returns
+its extreme rays exactly, but their images u - v can include non-extreme
+generators of the cone. In dim 3 the rows (0,3,1), (0,2,3), (1,2,1),
+(-3,1,3), (1,-1,0) and (2,2,2) give 6 rays for a cone with 3 extreme rays.
+Callers that need a minimal set prune with ``cone(..., minimal=True)``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from ..errors import SizingError
-from .vec import Vec, dot, is_zero_vec, primitive, unit_vec
+from ..errors import InputError, SizingError
+from .vec import Vec, divide_gcd, primitive_ints, to_fractions
 
 DEFAULT_ROW_CAP = 10**6
 
 
 def cone_rays(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> list[Vec]:
     """Generators (primitive, lex-sorted) of the cone {x : <row, x> <= 0}."""
-    clean = sorted({primitive(tuple(r)) for r in rows if not is_zero_vec(tuple(r))})
+    clean = sorted({p for p in (primitive_ints(tuple(r)) for r in rows) if any(p)})
+    for r in clean:
+        if len(r) != dim:
+            raise InputError(f"dimension mismatch: {2 * len(r)} vs {2 * dim}")
     emb = 2 * dim
     # <a, u - v> <= 0 lifts to <(a, -a), (u, v)> <= 0.
     lifted = [r + tuple(-x for x in r) for r in clean]
 
-    def zero_set(ray: Vec, upto: int) -> frozenset[int]:
-        tight = {i for i in range(emb) if ray[i] == 0}
-        for j in range(upto):
-            if dot(lifted[j], ray) == 0:
-                tight.add(emb + j)
-        return frozenset(tight)
-
-    current: list[tuple[Vec, frozenset[int]]] = []
+    # The unit ray e_k is zero on every coordinate but k.
+    full = (1 << emb) - 1
+    rays: list[tuple[int, ...]] = []
+    zsets: list[int] = []
     for k in range(emb):
-        r = unit_vec(emb, k)
-        current.append((r, zero_set(r, 0)))
+        rays.append(tuple(1 if i == k else 0 for i in range(emb)))
+        zsets.append(full & ~(1 << k))
 
     for j, a in enumerate(lifted):
-        zero: list[tuple[Vec, frozenset[int]]] = []
-        neg: list[tuple[Vec, frozenset[int]]] = []
-        pos: list[tuple[Vec, frozenset[int], Fraction]] = []
-        for ray, zs in current:
-            d = dot(a, ray)
+        bit = 1 << (emb + j)
+        zero_r: list[tuple[int, ...]] = []
+        zero_z: list[int] = []
+        neg: list[tuple[tuple[int, ...], int, int]] = []
+        pos: list[tuple[tuple[int, ...], int, int]] = []
+        for ray, zs in zip(rays, zsets):
+            d = sum(x * y for x, y in zip(a, ray))
             if d == 0:
-                zero.append((ray, zs | {emb + j}))
+                zero_r.append(ray)
+                zero_z.append(zs | bit)
             elif d < 0:
-                neg.append((ray, zs))
+                neg.append((ray, zs, d))
             else:
                 pos.append((ray, zs, d))
-        fresh: list[Vec] = []
+        nxt_r = zero_r + [ray for ray, _, _ in neg]
+        nxt_z = zero_z + [zs for _, zs, _ in neg]
+        seen = set(nxt_r)
         for rp, zp, dp in pos:
-            for rn, zn in neg:
-                dn = dot(a, rn)
+            for rn, zn, dn in neg:
                 common = zp & zn
-                adjacent = True
-                for r3, z3 in current:
-                    if r3 is rp or r3 is rn:
-                        continue
-                    if common <= z3:
-                        adjacent = False
-                        break
-                if adjacent:
-                    comb = primitive(tuple(dp * xn - dn * xp for xp, xn in zip(rp, rn)))
-                    fresh.append(comb)
-        seen = {ray for ray, _ in zero} | {ray for ray, _ in neg}
-        nxt = zero + neg
-        for ray in fresh:
-            if ray not in seen:
-                seen.add(ray)
-                nxt.append((ray, zero_set(ray, j + 1)))
-        if len(nxt) > cap:
+                # rp and rn always contain common; a third ray that does
+                # rules the pair out.
+                hits = 0
+                for z3 in zsets:
+                    if z3 & common == common:
+                        hits += 1
+                        if hits > 2:
+                            break
+                if hits > 2:
+                    continue
+                comb = divide_gcd([dp * xn - dn * xp for xp, xn in zip(rp, rn)])
+                if comb not in seen:
+                    seen.add(comb)
+                    nxt_r.append(comb)
+                    # A positive combination of two rays of the current cone
+                    # is tight exactly where both are, and on row j.
+                    nxt_z.append(common | bit)
+        if len(nxt_r) > cap:
             raise SizingError(
                 f"double description exceeded {cap} intermediate generators "
                 f"after inserting {j + 1} of {len(lifted)} constraints"
             )
-        current = nxt
+        rays, zsets = nxt_r, nxt_z
 
     out = set()
-    for ray, _ in current:
-        x = tuple(ray[i] - ray[dim + i] for i in range(dim))
-        if not is_zero_vec(x):
-            out.add(primitive(x))
-    return sorted(out)
+    for ray in rays:
+        x = [ray[i] - ray[dim + i] for i in range(dim)]
+        if any(x):
+            out.add(divide_gcd(x))
+    return [to_fractions(r) for r in sorted(out)]

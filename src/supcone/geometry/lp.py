@@ -1,21 +1,29 @@
 """Exact two-phase simplex over rationals.
 
-Dense Fraction tableau with Bland's rule in both phases: entering variable is
-the lowest-index column with negative reduced cost, leaving row breaks ratio
-ties on the lowest basic index. That guarantees termination (no cycling) and
-makes every solve deterministic, which the report determinism contract relies
-on. The core works on the standard form
+Dense tableau with Bland's rule in both phases: entering variable is the
+lowest-index column with negative reduced cost, leaving row breaks ratio ties
+on the lowest basic index. That guarantees termination (no cycling) and makes
+every solve deterministic, which the report determinism contract relies on.
+The core works on the standard form
 
     min <cost, z>  s.t.  A z = rhs,  z >= 0;
 
 callers build their own embeddings (free variables as differences, slacks,
 distance epigraphs) on top of it.
+
+The tableau is held in Python ints: each row is an integer vector over its
+own positive denominator, and both are divided by their gcd after every
+pivot. Signs are read from the numerators, and the ratio test compares
+rhs/entry quotients by cross-multiplication (a row's denominator cancels in
+its own quotient). Rationals enter and leave as Fractions, so the exact
+pivots, and therefore every result, are those of a Fraction tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -40,19 +48,36 @@ class EqLpResult:
     ray: list[Fraction] | None = None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
+def _reduce(tab: list[list[int]], den: list[int], i: int, row: list[int], d: int) -> None:
+    """Store row/d as tableau row i, divided by the gcd of its entries and d."""
+    g = gcd(d, *row)
+    if g > 1:
+        row = [x // g for x in row]
+        d //= g
+    tab[i] = row
+    den[i] = d
+
+
+def _pivot(tab: list[list[int]], den: list[int], basis: list[int], row: int, col: int) -> None:
+    # Row `row` becomes tab[row] / tab[row][col], whose own denominator
+    # cancels: numerators over the pivot numerator.
     prow = tab[row]
+    q = prow[col]
+    if q < 0:
+        prow = [-x for x in prow]
+        q = -q
+    _reduce(tab, den, row, prow, q)
+    prow, q = tab[row], den[row]
     for i in range(len(tab)):
         if i != row:
             f = tab[i][col]
             if f != 0:
-                tab[i] = [a - f * p for a, p in zip(tab[i], prow)]
+                # a/den_i - (f/den_i) * (p/q) = (a*q - f*p) / (den_i*q)
+                _reduce(tab, den, i, [a * q - f * p for a, p in zip(tab[i], prow)], den[i] * q)
     basis[row] = col
 
 
-def _run(tab: list[list[Fraction]], basis: list[int], ncols: int) -> tuple[str, int]:
+def _run(tab: list[list[int]], den: list[int], basis: list[int], ncols: int) -> tuple[str, int]:
     """Simplex loop on a tableau whose last row is the reduced-cost row.
 
     Returns (status, entering column); the column is only meaningful for
@@ -70,17 +95,35 @@ def _run(tab: list[list[Fraction]], basis: list[int], ncols: int) -> tuple[str, 
         if enter < 0:
             return OPTIMAL, -1
         leave = -1
-        best: Fraction | None = None
+        # best ratio so far: best_b / best_a with best_a > 0
+        best_b = best_a = 0
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][rhs] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                b = tab[i][rhs]
+                if leave >= 0:
+                    diff = b * best_a - best_b * a
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                best_b, best_a = b, a
+                leave = i
         if leave < 0:
             return UNBOUNDED, enter
-        _pivot(tab, basis, leave, enter)
+        _pivot(tab, den, basis, leave, enter)
+
+
+def _objective_row(
+    tab: list[list[int]], den: list[int], weights: Sequence[int], base: list[int]
+) -> tuple[list[int], int]:
+    """(out, d) with out / d = base - sum_i weights[i] * tab[i] / den[i]."""
+    d = lcm(*(den[i] for i in range(len(tab)) if weights[i] != 0))
+    out = [x * d for x in base]
+    for i, row in enumerate(tab):
+        w = weights[i]
+        if w != 0:
+            w *= d // den[i]
+            out = [o - w * x for o, x in zip(out, row)]
+    return out, d
 
 
 def solve_min_eq(
@@ -90,29 +133,33 @@ def solve_min_eq(
 ) -> EqLpResult:
     """min <cost, z> subject to rows . z = rhs, z >= 0."""
     n = len(cost)
-    A = [list(r) for r in rows]
-    b = list(rhs)
-    for r in A:
+    for r in rows:
         if len(r) != n:
             raise ValueError("row length does not match cost length")
-    for i in range(len(b)):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    m = len(A)
+    m = len(rows)
 
-    # Phase 1: artificial basis, minimize the artificial mass.
+    # Phase 1: artificial basis, minimize the artificial mass. Each row
+    # (A_i, e_i, b_i) is scaled to integers, with b_i >= 0.
     ncols = n + m
-    tab = [A[i] + [_ONE if k == i else _ZERO for k in range(m)] + [b[i]] for i in range(m)]
+    tab: list[list[int]] = []
+    den: list[int] = []
+    for i in range(m):
+        vals = [*rows[i], rhs[i]]
+        d = lcm(*(x.denominator for x in vals))
+        nums = [x.numerator * (d // x.denominator) for x in vals]
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
+        row = nums[:n] + [0] * (m + 1)
+        row[n + i] = d
+        row[ncols] = nums[n]
+        tab.append(row)
+        den.append(d)
     basis = [n + i for i in range(m)]
-    obj = []
-    for j in range(ncols):
-        cj = _ONE if j >= n else _ZERO
-        obj.append(cj - sum((tab[i][j] for i in range(m)), _ZERO))
-    obj.append(-sum(b, _ZERO))
+    obj, d = _objective_row(tab, den, [1] * m, [0] * n + [1] * m + [0])
     tab.append(obj)
-    _run(tab, basis, ncols)
-    if -tab[m][ncols] != 0:
+    den.append(d)
+    _run(tab, den, basis, ncols)
+    if tab[m][ncols] != 0:
         return EqLpResult(INFEASIBLE)
 
     # Drive leftover artificials out of the basis; a row with no real pivot
@@ -126,37 +173,35 @@ def solve_min_eq(
                     piv_col = j
                     break
             if piv_col >= 0:
-                _pivot(tab, basis, i, piv_col)
+                _pivot(tab, den, basis, i, piv_col)
             else:
                 drop.append(i)
     keep_rows = [i for i in range(m) if i not in drop]
 
     # Phase 2 tableau: real columns only, fresh reduced costs.
-    tab2 = [[tab[i][j] for j in range(n)] + [tab[i][ncols]] for i in keep_rows]
-    basis2 = [basis[i] for i in keep_rows]
+    tab2 = [tab[i][:n] + [tab[i][ncols]] for i in keep_rows]
+    den2 = [den[i] for i in keep_rows]
     m2 = len(tab2)
-    obj2 = []
-    for j in range(n):
-        red = Fraction(cost[j])
-        for i in range(m2):
-            red -= cost[basis2[i]] * tab2[i][j]
-        obj2.append(red)
-    val0 = sum((cost[basis2[i]] * tab2[i][n] for i in range(m2)), _ZERO)
-    obj2.append(-val0)
+    basis2 = [basis[i] for i in keep_rows]
+    # cost scaled to integers c = cd * cost
+    cd = lcm(*(x.denominator for x in cost))
+    c = [x.numerator * (cd // x.denominator) for x in cost]
+    obj2, d = _objective_row(tab2, den2, [c[b] for b in basis2], c + [0])
     tab2.append(obj2)
-    status, enter = _run(tab2, basis2, n)
+    den2.append(d * cd)
+    status, enter = _run(tab2, den2, basis2, n)
 
     z = [_ZERO] * n
     for i in range(m2):
-        z[basis2[i]] = tab2[i][n]
+        z[basis2[i]] = Fraction(tab2[i][n], den2[i])
     if status == UNBOUNDED:
         ray = [_ZERO] * n
         ray[enter] = _ONE
         for i in range(m2):
-            ray[basis2[i]] = -tab2[i][enter]
+            ray[basis2[i]] = Fraction(-tab2[i][enter], den2[i])
         return EqLpResult(UNBOUNDED, point=z, ray=ray)
-    value = sum((Fraction(cost[j]) * z[j] for j in range(n)), _ZERO)
-    return EqLpResult(OPTIMAL, point=z, value=value)
+    # The reduced-cost row's rhs holds minus the value of the basic point.
+    return EqLpResult(OPTIMAL, point=z, value=Fraction(-tab2[m2][n], den2[m2]))
 
 
 def solve_nonneg_combination(
@@ -170,8 +215,8 @@ def solve_nonneg_combination(
     d = len(target)
     if not columns:
         return [] if all(x == 0 for x in target) else None
-    rows = [[Fraction(col[k]) for col in columns] for k in range(d)]
-    res = solve_min_eq(rows, [Fraction(x) for x in target], [_ZERO] * len(columns))
+    rows = [[col[k] for col in columns] for k in range(d)]
+    res = solve_min_eq(rows, target, [_ZERO] * len(columns))
     if res.status != OPTIMAL:
         return None
     return res.point

@@ -31,7 +31,6 @@ from .vec import (
     vadd,
     vec,
     vscale,
-    vsub,
     zero_vec,
 )
 

@@ -2,13 +2,16 @@
 
 Everything is built on fractions.Fraction, which keeps values in lowest terms
 with a positive denominator. Vectors are plain tuples of Fractions; the
-helpers below never round and never touch floats.
+helpers below never round and never touch floats. The exact kernels (the
+double description in dd.py and the simplex in lp.py) take and return these
+Fraction vectors but run on Python ints internally: primitive_ints and
+to_fractions convert at their boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from ..errors import InputError
@@ -78,23 +81,35 @@ def sup_norm(a: Vec) -> Fraction:
     return max((abs(x) for x in a), default=Fraction(0))
 
 
-def primitive(a: Vec) -> Vec:
-    """Scale a direction to its primitive integer form.
+def primitive_ints(a: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer form of a direction, as a tuple of ints.
 
     Clears denominators, divides by the gcd of the absolute numerators, and
     keeps the orientation (rays and halfspace normals are scale-invariant
-    under positive factors only). The zero vector maps to itself.
+    under positive factors only). The zero vector maps to zeros.
+    """
+    mult = lcm(*(x.denominator for x in a))
+    return divide_gcd([x.numerator * (mult // x.denominator) for x in a])
+
+
+def divide_gcd(xs: list[int]) -> tuple[int, ...]:
+    """xs divided by the gcd of its entries; all zeros stay zeros."""
+    g = gcd(*xs)
+    return tuple(x // g for x in xs) if g > 1 else tuple(xs)
+
+
+def to_fractions(a: Iterable[int]) -> Vec:
+    return tuple(Fraction(n) for n in a)
+
+
+def primitive(a: Vec) -> Vec:
+    """Scale a direction to its primitive integer form (see primitive_ints).
+
+    The zero vector maps to itself.
     """
     if is_zero_vec(a):
         return a
-    mult = 1
-    for x in a:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in a]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    return tuple(Fraction(n // g) for n in ints)
+    return to_fractions(primitive_ints(a))
 
 
 def lex_key(a: Vec) -> tuple:

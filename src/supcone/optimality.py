@@ -38,13 +38,11 @@ from .geometry import (
     GeneratorSet,
     HalfSpace,
     POS_INF,
-    PolyhedronH,
     Vec,
     cone_contains,
     cone_multipliers,
     dot,
     generator_member,
-    intersect,
     lp,
     lp_solve,
     poly_contains_point,

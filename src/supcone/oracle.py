@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .functions import (
-    ExtendedFunction,
     ImproperFunction,
     PolyhedralFunction,
     sublevel_set,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import reports
-from .errors import InputError, PreconditionError, RefusedError
+from .errors import InputError, RefusedError
 from .formulas import (
     AffineComposed1D,
     QCMember,
