@@ -8,6 +8,7 @@ operation is refused or ends inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,10 @@ def _add_cone_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and every call gets a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="supcone",
         description="Exact normal cones to sublevel sets of function suprema, "

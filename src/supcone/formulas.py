@@ -61,6 +61,7 @@ from .geometry import (
     dot,
     generators,
     h_to_v,
+    inequality_cone,
     intersect,
     is_empty_poly,
     lp,
@@ -336,7 +337,7 @@ def sublevel_normal_cone_intersection(
     polars = [cone_rays(list(res.cone.rays), dim) for res in results]
 
     def meet(rows: list[list[Vec]]) -> ConeGen:
-        return cone(dim, cone_rays([r for p in rows for r in p], dim))
+        return inequality_cone([r for p in rows for r in p], dim)
 
     final = meet(polars)
     stabilized = len(polars) > 1 and cone_equal(meet(polars[:-1]), final)
@@ -443,7 +444,11 @@ class AffineComposed1D:
         return len(self.direction)
 
     def value(self, x: Vec):
-        return self.profile.value(dot(self.direction, x) + self.shift)
+        return self.value_at(dot(self.direction, x) + self.shift)
+
+    def value_at(self, u: Fraction):
+        """The value at any x with <direction, x> + shift = u."""
+        return self.profile.value(u)
 
     def zero_sublevel_interval(self) -> Interval:
         return qc1d_sublevel(self.profile, 0)
@@ -500,7 +505,11 @@ class SmoothQCMember:
         return all(c >= 0 for c in deriv[0::2])
 
     def value(self, x: Vec) -> Fraction:
-        return _poly_eval(self.coeffs, dot(self.direction, x) + self.shift)
+        return self.value_at(dot(self.direction, x) + self.shift)
+
+    def value_at(self, u: Fraction) -> Fraction:
+        """The value at any x with <direction, x> + shift = u."""
+        return _poly_eval(self.coeffs, u)
 
     def gradient(self, x: Vec) -> Vec:
         u = dot(self.direction, x) + self.shift
@@ -562,9 +571,16 @@ class SublevelOracleQC:
         for combo in itertools.product(range(-2, 3), repeat=self.dim):
             probes.append(tuple(half * c for c in combo))
         for m in self.members:
+            ev = m.evaluator
+            # Both evaluator types depend on y only through u, and many
+            # lattice probes share a u: evaluate each u once.
+            values: dict[Fraction, object] = {}
             for y in probes:
                 inside = poly_contains_point(m.sublevel, y)
-                val = m.evaluator.value(y)
+                u = dot(ev.direction, y) + ev.shift
+                val = values.get(u)
+                if val is None:
+                    val = values[u] = ev.value_at(u)
                 if inside != (val <= 0):
                     raise InputError(
                         f"member {m.ident!r}: declared sublevel and evaluator disagree "

@@ -24,7 +24,10 @@ the set of extreme rays. The lifted cone is pointed, so the conversion returns
 its extreme rays exactly, but their images u - v can include non-extreme
 generators of the cone. In dim 3 the rows (0,3,1), (0,2,3), (1,2,1),
 (-3,1,3), (1,-1,0) and (2,2,2) give 6 rays for a cone with 3 extreme rays.
-Callers that need a minimal set prune with ``cone(..., minimal=True)``.
+Callers that need a minimal set prune with ``cone(..., minimal=True)``, or,
+since they know the rows, keep the rays at which the tight rows have rank
+dim - 1 when all rows together have rank dim (the cone is then pointed and
+those are its extreme rays; see ``sets.inequality_cone``).
 """
 
 from __future__ import annotations

@@ -10,6 +10,15 @@ Conversions run through the double description method (dd.cone_rays) on the
 homogenization; membership and equality questions run through exact LPs.
 Canonical forms (primitive integer directions, lexicographic order, redundant
 generators removed) make equality checks and report files stable.
+
+Redundant generators are removed in one of two ways. Where the rows of a
+conversion are at hand (h_to_v, recession_cone, cone_polar, inequality_cone)
+and have full rank, the cone is pointed and its unique minimal generating set
+is its extreme rays: a generator is kept iff the rows tight at it have rank
+n - 1, an integer rank test with no LP. Everywhere else (rows of lower rank,
+and generators(..., minimal=True) or cone(..., minimal=True) on generators of
+unknown origin) one small LP per generator decides redundancy. Both give the
+same canonical output.
 """
 
 from __future__ import annotations
@@ -23,10 +32,12 @@ from . import lp
 from .dd import DEFAULT_ROW_CAP, cone_rays
 from .vec import (
     Vec,
+    divide_gcd,
     dot,
     is_zero_vec,
     lex_key,
     primitive,
+    primitive_ints,
     rat,
     vadd,
     vec,
@@ -124,7 +135,8 @@ def generators(
 
     minimal=True (the default) also drops generators that do not change the
     set: a ray inside the cone of the remaining rays, a point inside the hull
-    of the remaining generators. One small LP per generator.
+    of the remaining generators. One small LP per generator; h_to_v replaces
+    these LPs by a rank test when its homogenized rows have full rank.
     """
     pts = sorted({tuple(p) for p in points}, key=lex_key)
     rys = sorted({primitive(tuple(r)) for r in rays if not is_zero_vec(tuple(r))}, key=lex_key)
@@ -247,17 +259,29 @@ def intersect(*polys: PolyhedronH) -> PolyhedronH:
 # --- representation conversions ---------------------------------------------
 
 
-def h_to_v(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> GeneratorSet:
+def h_to_v(
+    poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP, minimal: bool = True
+) -> GeneratorSet:
     """Generators of an H-polyhedron via DD on the homogenization.
 
     P lifts to {(y, t) : <n_i, y> - offset_i * t <= 0, t >= 0}; generators
     with positive last coordinate scale to points, the rest are rays. No
-    generator with t > 0 means P is empty.
+    generator with t > 0 means P is empty. minimal=True prunes to the
+    canonical minimal generating set: by the rank test when the lifted rows
+    have full rank d + 1 (P has no lines, so its vertices and extreme rays
+    are that set), by LPs otherwise. minimal=False returns the DD generators
+    as they come, still deduplicated and sorted.
     """
     d = poly.dim
     rows = [h.normal + (-h.offset,) for h in poly.halfspaces]
     rows.append(zero_vec(d) + (Fraction(-1),))
     rays = cone_rays(rows, d + 1, cap=cap)
+    n_points = sum(1 for r in rays if r[d] > 0)
+    # With at most one point and one ray, pruning would run no LP.
+    if minimal and n_points and (n_points > 1 or len(rays) - n_points > 1):
+        extreme = _extreme_rays(rows, rays, d + 1)
+        if extreme is not None:
+            rays, minimal = extreme, False
     points = []
     recs = []
     for r in rays:
@@ -268,7 +292,7 @@ def h_to_v(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> GeneratorSet:
             recs.append(r[:d])
     if not points:
         return empty_generators(d)
-    return generators(d, points, recs)
+    return generators(d, points, recs, minimal=minimal)
 
 
 def v_to_h(gen: GeneratorSet, cap: int = DEFAULT_ROW_CAP) -> PolyhedronH:
@@ -300,8 +324,64 @@ def recession_cone(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
     """
     if not poly_contains_point(poly, zero_vec(poly.dim)) and is_empty_poly(poly):
         return ConeGen(poly.dim, ())
-    rays = cone_rays([h.normal for h in poly.halfspaces], poly.dim, cap=cap)
-    return cone(poly.dim, rays)
+    return inequality_cone([h.normal for h in poly.halfspaces], poly.dim, cap=cap)
+
+
+def inequality_cone(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
+    """The minimal cone {x : <row, x> <= 0 for every row}.
+
+    Same result as cone(dim, cone_rays(rows, dim)); when the rows have full
+    rank the rank test replaces the pruning LPs.
+    """
+    rays = cone_rays(rows, dim, cap=cap)
+    if len(rays) > 1:
+        extreme = _extreme_rays(rows, rays, dim)
+        if extreme is not None:
+            return cone(dim, extreme, minimal=False)
+    return cone(dim, rays)
+
+
+def _extreme_rays(rows: Sequence[Vec], rays: list[Vec], n: int) -> list[Vec] | None:
+    """The extreme rays among rays, a generating set of {x : <row, x> <= 0}.
+
+    When the nonzero rows have rank n the cone is pointed, and a nonzero ray
+    of it is extreme iff the rows tight at it have rank n - 1 (Fukuda,
+    "Frequently Asked Questions in Polyhedral Computation", 2004). The extreme
+    rays of a pointed cone are its unique minimal generating set, which is
+    what LP pruning keeps. Rows of lower rank give None: the cone contains a
+    line, its minimal generating sets are not unique, and LP pruning decides.
+    """
+    int_rows = list({p for p in (primitive_ints(r) for r in rows) if any(p)})
+    if _int_rank(int_rows) < n:
+        return None
+    kept = []
+    for r in rays:
+        x = [c.numerator for c in r]  # cone_rays returns integral rays
+        tight = [a for a in int_rows if sum(u * v for u, v in zip(a, x)) == 0]
+        if len(tight) >= n - 1 and _int_rank(tight) == n - 1:
+            kept.append(r)
+    return kept
+
+
+def _int_rank(rows: list[tuple[int, ...]]) -> int:
+    """Rank of integer vectors by fraction-free elimination; each new row is
+    divided by its gcd so entries stay small."""
+    work = list(rows)
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        p = work[rank]
+        pc = p[col]
+        for i in range(rank + 1, len(work)):
+            q = work[i]
+            qc = q[col]
+            if qc:
+                work[i] = divide_gcd([pc * b - qc * a for a, b in zip(p, q)])
+        rank += 1
+    return rank
 
 
 def recession_of_generators(gen: GeneratorSet) -> ConeGen:
@@ -375,9 +455,14 @@ def cone_contains(c: ConeGen, v: Vec) -> bool:
 
 
 def cone_equal(a: ConeGen, b: ConeGen) -> bool:
-    """Mutual containment, checked generator-wise with exact LPs."""
+    """Mutual containment, checked generator-wise with exact LPs.
+
+    Equal ray tuples generate the same cone, minimal or not, and need no LP.
+    """
     if a.dim != b.dim:
         return False
+    if a.rays == b.rays:
+        return True
     return all(cone_contains(b, r) for r in a.rays) and all(
         cone_contains(a, r) for r in b.rays
     )
@@ -385,7 +470,7 @@ def cone_equal(a: ConeGen, b: ConeGen) -> bool:
 
 def cone_polar(c: ConeGen, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
     """{d : <d, r> <= 0 for every generator r}."""
-    return cone(c.dim, cone_rays(list(c.rays), c.dim, cap=cap))
+    return inequality_cone(c.rays, c.dim, cap=cap)
 
 
 def generator_member(gen: GeneratorSet, v: Vec) -> list[Fraction] | None:

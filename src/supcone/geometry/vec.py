@@ -56,9 +56,15 @@ def unit_vec(dim: int, k: int) -> Vec:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Exact inner product, summed as one int fraction and reduced once."""
     if len(a) != len(b):
         raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        d = x.denominator * y.denominator
+        num = num * d + x.numerator * y.numerator * den
+        den *= d
+    return Fraction(num, den)
 
 
 def vadd(a: Vec, b: Vec) -> Vec:

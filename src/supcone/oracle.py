@@ -88,7 +88,10 @@ class VerificationReport:
 
 def compare_cones(formula_cone: ConeGen, oracle_cone: ConeGen):
     """(verdict, witness): EQUAL, INSIDE (strict), or VIOLATION with a
-    formula generator that lies outside the oracle cone."""
+    formula generator that lies outside the oracle cone. Equal ray tuples
+    are EQUAL without an LP."""
+    if formula_cone.rays == oracle_cone.rays:
+        return EQUAL, None
     for r in formula_cone.rays:
         if not cone_contains(oracle_cone, r):
             return VIOLATION, r

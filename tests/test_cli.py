@@ -224,6 +224,31 @@ def test_cli_normal_cone_success(tmp_path, capsys) -> None:
     assert rec["id"] == "corner"
 
 
+def test_cli_builds_its_parser_once(tmp_path, capsys) -> None:
+    from supcone import cli
+
+    cli._build_parser.cache_clear()
+    path = write_inst(tmp_path, corner_instance())
+    runs = []
+    for _ in range(2):
+        code = main(["normal-cone", path, "--format", "machine"])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    # Bad arguments still exit 2 with the usage text, through the same parser.
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["normal-cone", path, "--mode", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: supcone")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
 def test_cli_epsilon_flag_overrides_file(tmp_path, capsys) -> None:
     path = write_inst(tmp_path, corner_instance())
     code = main(["normal-cone", path, "--epsilon", "1/8", "--format", "machine"])

@@ -400,6 +400,31 @@ def test_qc_oracle_rejects_mismatched_declaration() -> None:
         SublevelOracleQC(2, (QCMember("m", wrong, m),))
 
 
+def test_qc_oracle_evaluates_each_u_once(monkeypatch) -> None:
+    # u = y1 takes 5 values on the 25 lattice probes of R^2, and the declared
+    # vertex of {y1 <= 0} adds none.
+    calls = []
+    real = SmoothQCMember.value_at
+    monkeypatch.setattr(
+        SmoothQCMember, "value_at", lambda self, u: calls.append(u) or real(self, u)
+    )
+    m = smooth((1, 0), (0, 1), 0)
+    SublevelOracleQC(2, (QCMember("m", m.zero_sublevel(), m),))
+    assert sorted(calls) == [F(k, 2) for k in range(-2, 3)]
+
+
+def test_qc_oracle_names_the_first_disagreeing_probe() -> None:
+    # Declared vertices are probed before the lattice: the generator point
+    # (1/4, 0) of {y1 <= 1/4} is inside, with u = 1/4 > 0.
+    m = smooth((1, 0), (0, 1), 0)
+    with pytest.raises(InputError) as exc:
+        SublevelOracleQC(2, (QCMember("m", polyhedron(2, [hs((4, 0), 1)]), m),))
+    assert str(exc.value) == (
+        "member 'm': declared sublevel and evaluator disagree at "
+        f"{(F(1, 4), F(0))} (value 1/4, declared inside)"
+    )
+
+
 def test_qc_oracle_rejects_duplicate_ids() -> None:
     m = smooth((1, 0), (0, 1), 0)
     s = m.zero_sublevel()
