@@ -40,6 +40,7 @@ from .functions import (
     PolyhedralFunction,
     QuasiConvex1D,
     _interval_difference_point,
+    domain_generators,
     eps_normal_set,
     eps_subdifferential,
     evaluate,
@@ -60,7 +61,6 @@ from .geometry import (
     cone_rays,
     dot,
     generators,
-    h_to_v,
     inequality_cone,
     intersect,
     is_empty_poly,
@@ -566,7 +566,7 @@ class SublevelOracleQC:
                 raise InputError(f"member {m.ident!r} dimension mismatch")
         probes: list[Vec] = []
         for m in self.members:
-            probes.extend(h_to_v(m.sublevel).points)
+            probes.extend(domain_generators(m.sublevel).points)
         half = Fraction(1, 2)
         for combo in itertools.product(range(-2, 3), repeat=self.dim):
             probes.append(tuple(half * c for c in combo))

@@ -136,8 +136,10 @@ CACHE_SIZE = 1024
 def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
     """Generators of epi f in R^(dim+1): piece rows become <(a,-1),(y,r)> <= -b.
 
-    Not pruned: the only consumer turns them into the rows of d_eps f(x),
-    and h_to_v of that set is the same for every generating set of epi f.
+    Pruned without LPs: a pointed epigraph comes back as its vertices and
+    extreme rays (h_to_v's rank test), any other as the DD generators. The
+    only consumer turns them into the rows of d_eps f(x), and h_to_v of that
+    set is the same for every generating set of epi f.
     """
     rows = [HalfSpace(p.slope + (Fraction(-1),), -p.intercept) for p in f.pieces]
     rows.extend(HalfSpace(h.normal + (Fraction(0),), h.offset) for h in f.domain.halfspaces)

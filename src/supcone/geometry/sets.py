@@ -11,14 +11,21 @@ homogenization; membership and equality questions run through exact LPs.
 Canonical forms (primitive integer directions, lexicographic order, redundant
 generators removed) make equality checks and report files stable.
 
+The canonical forms are built on ints. polyhedron, generators and cone
+deduplicate and sort rows and rays as primitive int tuples, whose lex order
+is the lex order of the same values as Fractions, and build each Fraction
+tuple once, at the end. The conversions read the integral cone_rays output
+as ints; h_to_v forms each point as Fraction(x, t).
+
 Redundant generators are removed in one of two ways. Where the rows of a
 conversion are at hand (h_to_v, recession_cone, cone_polar, inequality_cone)
 and have full rank, the cone is pointed and its unique minimal generating set
 is its extreme rays: a generator is kept iff the rows tight at it have rank
-n - 1, an integer rank test with no LP. Everywhere else (rows of lower rank,
-and generators(..., minimal=True) or cone(..., minimal=True) on generators of
-unknown origin) one small LP per generator decides redundancy. Both give the
-same canonical output.
+n - 1, an integer rank test with no LP. h_to_v runs it even with
+minimal=False, which only turns off the pruning LPs. Everywhere else (rows of
+lower rank, and generators(..., minimal=True) or cone(..., minimal=True) on
+generators of unknown origin) one small LP per generator decides redundancy.
+Both give the same canonical output.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from .vec import (
     divide_gcd,
     dot,
     is_zero_vec,
-    lex_key,
     primitive,
     primitive_ints,
     rat,
+    to_fractions,
     vadd,
     vec,
     vscale,
@@ -102,18 +109,19 @@ def polyhedron(dim: int, halfspaces: Iterable[HalfSpace] = ()) -> PolyhedronH:
     A zero-normal row with negative offset is an unsatisfiable constraint;
     the whole polyhedron collapses to the canonical empty marker.
     """
-    rows = []
+    rows = set()
     for h in halfspaces:
         if len(h.normal) != dim:
             raise InputError(f"halfspace normal has dim {len(h.normal)}, expected {dim}")
-        if is_zero_vec(h.normal):
-            if h.offset < 0:
-                return PolyhedronH(dim, (HalfSpace(zero_vec(dim), Fraction(-1)),))
+        joint = primitive_ints(h.normal + (h.offset,))
+        if not any(joint[:dim]):
+            if joint[dim] < 0:
+                return empty_polyhedron(dim)
             continue
-        joint = primitive(h.normal + (h.offset,))
-        rows.append(HalfSpace(joint[:-1], joint[-1]))
-    uniq = sorted(set(rows), key=lambda h: lex_key(h.normal + (h.offset,)))
-    return PolyhedronH(dim, tuple(uniq))
+        rows.add(joint)
+    return PolyhedronH(
+        dim, tuple(HalfSpace(to_fractions(r[:dim]), Fraction(r[dim])) for r in sorted(rows))
+    )
 
 
 def whole_space(dim: int) -> PolyhedronH:
@@ -138,14 +146,11 @@ def generators(
     of the remaining generators. One small LP per generator; h_to_v replaces
     these LPs by a rank test when its homogenized rows have full rank.
     """
-    pts = sorted({tuple(p) for p in points}, key=lex_key)
-    rys = sorted({primitive(tuple(r)) for r in rays if not is_zero_vec(tuple(r))}, key=lex_key)
+    pts = sorted({tuple(p) for p in points})
     for p in pts:
         if len(p) != dim:
             raise InputError(f"point has dim {len(p)}, expected {dim}")
-    for r in rys:
-        if len(r) != dim:
-            raise InputError(f"ray has dim {len(r)}, expected {dim}")
+    rys = _canonical_rays(dim, rays)
     if not pts:
         if rys:
             raise InputError("a GeneratorSet without points is empty and must have no rays")
@@ -178,10 +183,7 @@ def generators(
 
 def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
     """Canonical cone: primitive sorted rays; minimal=True drops redundant ones."""
-    rys = sorted({primitive(tuple(r)) for r in rays if not is_zero_vec(tuple(r))}, key=lex_key)
-    for r in rys:
-        if len(r) != dim:
-            raise InputError(f"ray has dim {len(r)}, expected {dim}")
+    rys = _canonical_rays(dim, rays)
     if minimal and len(rys) > 1:
         kept: list[Vec] = list(rys)
         i = 0
@@ -193,6 +195,20 @@ def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
                 i += 1
         rys = kept
     return ConeGen(dim, tuple(rys))
+
+
+def _canonical_rays(dim: int, rays: Iterable[Vec]) -> list[Vec]:
+    """Distinct nonzero rays in primitive form and lexicographic order.
+
+    Deduplicated and sorted as primitive int tuples, whose lex order is the
+    lex order of the same values as Fractions; each Fraction tuple is built
+    once, at the end.
+    """
+    ints = sorted({p for p in (primitive_ints(tuple(r)) for r in rays) if any(p)})
+    for r in ints:
+        if len(r) != dim:
+            raise InputError(f"ray has dim {len(r)}, expected {dim}")
+    return [to_fractions(r) for r in ints]
 
 
 # --- linear programming over an H-polyhedron -------------------------------
@@ -266,33 +282,35 @@ def h_to_v(
 
     P lifts to {(y, t) : <n_i, y> - offset_i * t <= 0, t >= 0}; generators
     with positive last coordinate scale to points, the rest are rays. No
-    generator with t > 0 means P is empty. minimal=True prunes to the
-    canonical minimal generating set: by the rank test when the lifted rows
-    have full rank d + 1 (P has no lines, so its vertices and extreme rays
-    are that set), by LPs otherwise. minimal=False returns the DD generators
-    as they come, still deduplicated and sorted.
+    generator with t > 0 means P is empty. When the lifted rows have full
+    rank d + 1, P has no lines and the rank test cuts the DD generators to
+    its vertices and extreme rays, the unique minimal generating set,
+    whatever minimal says. Otherwise minimal=True prunes by LPs, and
+    minimal=False returns the DD generators as they come, deduplicated and
+    sorted: minimal=False means no pruning LPs, not no pruning.
     """
     d = poly.dim
     rows = [h.normal + (-h.offset,) for h in poly.halfspaces]
     rows.append(zero_vec(d) + (Fraction(-1),))
-    rays = cone_rays(rows, d + 1, cap=cap)
+    rays = [tuple(c.numerator for c in r) for r in cone_rays(rows, d + 1, cap=cap)]
     n_points = sum(1 for r in rays if r[d] > 0)
-    # With at most one point and one ray, pruning would run no LP.
-    if minimal and n_points and (n_points > 1 or len(rays) - n_points > 1):
-        extreme = _extreme_rays(rows, rays, d + 1)
-        if extreme is not None:
-            rays, minimal = extreme, False
-    points = []
-    recs = []
-    for r in rays:
-        t = r[d]
-        if t > 0:
-            points.append(tuple(x / t for x in r[:d]))
-        else:
-            recs.append(r[:d])
-    if not points:
+    if not n_points:
         return empty_generators(d)
-    return generators(d, points, recs, minimal=minimal)
+    lp_prune = False
+    # At most one point and one ray are already minimal.
+    if n_points > 1 or len(rays) - n_points > 1:
+        extreme = _extreme_rays(rows, rays, d + 1)
+        if extreme is None:
+            lp_prune = minimal
+        else:
+            rays = extreme
+    # Distinct primitive rays give distinct points; the rays with t = 0 stay
+    # primitive and in lex order.
+    points = sorted(tuple(Fraction(x, r[d]) for x in r[:d]) for r in rays if r[d] > 0)
+    recs = [to_fractions(r[:d]) for r in rays if r[d] == 0]
+    if lp_prune:
+        return generators(d, points, recs)
+    return GeneratorSet(d, tuple(points), tuple(recs))
 
 
 def v_to_h(gen: GeneratorSet, cap: int = DEFAULT_ROW_CAP) -> PolyhedronH:
@@ -330,36 +348,40 @@ def recession_cone(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
 def inequality_cone(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
     """The minimal cone {x : <row, x> <= 0 for every row}.
 
-    Same result as cone(dim, cone_rays(rows, dim)); when the rows have full
-    rank the rank test replaces the pruning LPs.
+    Same result as cone(dim, cone_rays(rows, dim)). When the rows have full
+    rank, the rank test keeps the extreme rays, which are already canonical.
     """
-    rays = cone_rays(rows, dim, cap=cap)
+    found = cone_rays(rows, dim, cap=cap)
+    rays = [tuple(c.numerator for c in r) for r in found]
     if len(rays) > 1:
         extreme = _extreme_rays(rows, rays, dim)
-        if extreme is not None:
-            return cone(dim, extreme, minimal=False)
-    return cone(dim, rays)
+        if extreme is None:
+            return cone(dim, found)
+        rays = extreme
+    return ConeGen(dim, tuple(to_fractions(r) for r in rays))
 
 
-def _extreme_rays(rows: Sequence[Vec], rays: list[Vec], n: int) -> list[Vec] | None:
+def _extreme_rays(
+    rows: Sequence[Vec], rays: list[tuple[int, ...]], n: int
+) -> list[tuple[int, ...]] | None:
     """The extreme rays among rays, a generating set of {x : <row, x> <= 0}.
 
-    When the nonzero rows have rank n the cone is pointed, and a nonzero ray
-    of it is extreme iff the rows tight at it have rank n - 1 (Fukuda,
-    "Frequently Asked Questions in Polyhedral Computation", 2004). The extreme
-    rays of a pointed cone are its unique minimal generating set, which is
-    what LP pruning keeps. Rows of lower rank give None: the cone contains a
-    line, its minimal generating sets are not unique, and LP pruning decides.
+    rays are the integral cone_rays output as int tuples. When the nonzero
+    rows have rank n the cone is pointed, and a nonzero ray of it is extreme
+    iff the rows tight at it have rank n - 1 (Fukuda, "Frequently Asked
+    Questions in Polyhedral Computation", 2004). The extreme rays of a
+    pointed cone are its unique minimal generating set, which is what LP
+    pruning keeps. Rows of lower rank give None: the cone contains a line,
+    its minimal generating sets are not unique, and LP pruning decides.
     """
     int_rows = list({p for p in (primitive_ints(r) for r in rows) if any(p)})
     if _int_rank(int_rows) < n:
         return None
     kept = []
-    for r in rays:
-        x = [c.numerator for c in r]  # cone_rays returns integral rays
+    for x in rays:
         tight = [a for a in int_rows if sum(u * v for u, v in zip(a, x)) == 0]
         if len(tight) >= n - 1 and _int_rank(tight) == n - 1:
-            kept.append(r)
+            kept.append(x)
     return kept
 
 
@@ -514,9 +536,14 @@ def poly_contains_generators(poly: PolyhedronH, gen: GeneratorSet) -> bool:
 
 
 def poly_equal(a: PolyhedronH, b: PolyhedronH) -> bool:
-    """Set equality via mutual generator containment."""
+    """Set equality via mutual generator containment.
+
+    Equal halfspace tuples describe the same set and need no conversion.
+    """
     if a.dim != b.dim:
         return False
+    if a.halfspaces == b.halfspaces:
+        return True
     ga, gb = h_to_v(a), h_to_v(b)
     if ga.is_empty or gb.is_empty:
         return ga.is_empty and gb.is_empty

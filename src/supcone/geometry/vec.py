@@ -3,9 +3,10 @@
 Everything is built on fractions.Fraction, which keeps values in lowest terms
 with a positive denominator. Vectors are plain tuples of Fractions; the
 helpers below never round and never touch floats. The exact kernels (the
-double description in dd.py and the simplex in lp.py) take and return these
-Fraction vectors but run on Python ints internally: primitive_ints and
-to_fractions convert at their boundary.
+double description in dd.py and the simplex in lp.py) and the canonical
+constructors in sets.py take and return these Fraction vectors but run on
+Python ints internally: primitive_ints and to_fractions convert at their
+boundary.
 """
 
 from __future__ import annotations
@@ -116,7 +117,3 @@ def primitive(a: Vec) -> Vec:
     if is_zero_vec(a):
         return a
     return to_fractions(primitive_ints(a))
-
-
-def lex_key(a: Vec) -> tuple:
-    return tuple(a)

@@ -236,6 +236,26 @@ def test_poly_equal_different_presentations() -> None:
     assert not poly_equal(a, whole_space(2))
 
 
+def test_equal_halfspace_tuples_settle_poly_equal_without_conversion(monkeypatch) -> None:
+    from supcone.geometry import sets
+
+    calls = []
+    real = sets.h_to_v
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sets, "h_to_v", counted)
+    slab = polyhedron(2, [hs((1, 0), 1), hs((-1, 0), 0)])
+    assert poly_equal(slab, polyhedron(2, [hs((2, 0), 2), hs((-1, 0), 0), hs((1, 0), 1)]))
+    assert calls == []
+    # Unequal tuples of one set still compare by generators.
+    assert poly_equal(slab, polyhedron(2, [hs((1, 0), 1), hs((-1, 0), 0), hs((1, 0), 2)]))
+    assert len(calls) == 2
+    assert not poly_equal(slab, whole_space(2))
+
+
 def test_generator_set_is_hashable_value() -> None:
     g = generators(2, points=[vec((0, 0))])
     assert isinstance(g, GeneratorSet)

@@ -11,11 +11,11 @@ import sys
 
 import pytest
 
-from supcone import formulas, oracle, reports
+from supcone import formulas, functions, oracle, reports
 from supcone.cli import main
-from supcone.geometry import cone
+from supcone.geometry import cone, h_to_v
 from supcone.geometry.vec import vec
-from supcone.instances import parse_grid_spec
+from supcone.instances import load_instance, parse_grid_spec
 from supcone.suites import curated_cases, run_case
 
 _FORMULAS = {
@@ -111,6 +111,19 @@ def test_cli_no_verify_skips_oracle(tmp_path, monkeypatch, command, source, flag
     assert main([command, path, "--format", "machine", "--no-verify", *flags]) == 0
     assert len(formula_calls) == 1
     assert compare_calls == []
+
+
+def test_cli_qc_converts_each_member_sublevel_once(tmp_path, monkeypatch):
+    # Loading the instance checks each declared sublevel at its vertices, and
+    # the formula reads the same vertices for its eps-normal sets.
+    path = gen_file(tmp_path, "qc")
+    sublevels = [m.sublevel for m in load_instance(path)[2]["qc"].members]
+    functions.domain_generators.cache_clear()
+    calls = count_calls(monkeypatch, h_to_v)
+
+    assert main(["qc", path, "--format", "machine"]) == 0
+    converted = [args[0] for args, _ in calls]
+    assert [converted.count(s) for s in sublevels] == [1] * len(sublevels)
 
 
 SUITE_CASES = [
