@@ -36,7 +36,7 @@ from .optimality import (
     check_sip_linear,
     verify_certificate,
 )
-from .oracle import VIOLATION, verify_result
+from .oracle import EQUAL, VIOLATION, verify_result
 from .suites import run_suite
 
 _GEN_KINDS = ("affine", "max-affine", "dom", "qc", "program")
@@ -142,6 +142,7 @@ def _emit_cone(args, kind: str, ident: str, res, family, point, which: str) -> i
     verification = None
     if not args.no_verify:
         verification = verify_result(res, family, point, which=which, instance_id=ident)
+        res = res.with_oracle_agreement(verification.verdict == EQUAL)
     _emit([reports.cone_result_record(kind, ident, res, verification)], args)
     return 1 if verification is not None and verification.verdict == VIOLATION else 0
 
@@ -152,8 +153,11 @@ def _cmd_normal_cone(args) -> int:
         raise InputError(f"expected a normal-cone instance, got {kind}")
     eps = _epsilon_of(args, payload)
     compute = strict_sublevel_normal_cone if args.strict else sublevel_normal_cone_formula
+    # a verification builds the oracle cone anyway, so the formula does not
+    # certify itself unless --no-verify skips it
     res = compute(
-        payload["family"], payload["point"], eps, grid=_grid_of(args), mode=args.mode
+        payload["family"], payload["point"], eps, grid=_grid_of(args), mode=args.mode,
+        certify=args.no_verify,
     )
     # --strict refuses without a Slater point, and with one cl[sup f_t < 0]
     # is [sup f_t <= 0], so both forms are judged against the same oracle set

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -69,6 +70,7 @@ from .geometry import (
     poly_contains_point,
     poly_equal,
     polyhedron,
+    primitive_ints,
     rat,
     vadd,
     vec,
@@ -200,6 +202,15 @@ class FormulaResult:
     grid: SGrid | None = None
     grid_stable: bool | None = None
     oracle_agrees: bool | None = None
+
+    def with_oracle_agreement(self, agrees: bool) -> FormulaResult:
+        """This result as certify=True would have returned it, given whether
+        its cone equals the oracle's (a verification verdict of EQUAL): a
+        sampled result takes exact and oracle_agrees from that answer; any
+        other is returned as it is."""
+        if self.mode != MODE_SAMPLED:
+            return self
+        return replace(self, exact=agrees, oracle_agrees=agrees)
 
 
 def _is_plain_affine(f: Member) -> bool:
@@ -359,10 +370,11 @@ def strict_sublevel_normal_cone(
     eps,
     grid: SGrid | None = None,
     mode: str = "auto",
+    certify: bool = True,
 ) -> FormulaResult:
     """Normal cone to cl[f < 0] at x. Requires a strictly feasible point with
     finite value; the closure then coincides with [f <= 0] and the sublevel
-    construction applies unchanged."""
+    construction applies unchanged, certify included."""
     if not family.proper_items():
         raise PreconditionError("[f < 0] meets f^{-1}(R) only if some member is proper")
     pieces = [
@@ -371,7 +383,9 @@ def strict_sublevel_normal_cone(
     domains = [h for _, f in family.members for h in f.domain.halfspaces]
     if not _mixed_system_nonempty(family.dim, pieces, domains):
         raise RefusedError("no strictly feasible point: [f < 0] never meets f^{-1}(R)")
-    return sublevel_normal_cone_formula(family, x, eps, grid=grid, mode=mode)
+    return sublevel_normal_cone_formula(
+        family, x, eps, grid=grid, mode=mode, certify=certify
+    )
 
 
 def dom_sup_normal_cone(
@@ -548,7 +562,11 @@ class SublevelOracleQC:
 
     Construction cross-checks each declared set against its evaluator on the
     declared vertices and a fixed half-integer lattice; any mismatch (in
-    particular a non-closed evaluator sublevel) is rejected.
+    particular a non-closed evaluator sublevel) is rejected. A lattice probe
+    y = c/2, c in {-2..2}^dim, is tested on ints: <n, c> <= 2*offset on each
+    halfspace's primitive int row (n, offset), and u = <direction, y> + shift
+    is keyed on k = <D*direction, c> with D the lcm of the direction's
+    denominators. Each member's evaluator is called once per distinct u.
     """
 
     dim: int
@@ -564,28 +582,56 @@ class SublevelOracleQC:
             seen.add(m.ident)
             if m.sublevel.dim != self.dim or m.evaluator.dim != self.dim:
                 raise InputError(f"member {m.ident!r} dimension mismatch")
-        probes: list[Vec] = []
+        vertices: list[Vec] = []
         for m in self.members:
-            probes.extend(domain_generators(m.sublevel).points)
-        half = Fraction(1, 2)
-        for combo in itertools.product(range(-2, 3), repeat=self.dim):
-            probes.append(tuple(half * c for c in combo))
+            vertices.extend(domain_generators(m.sublevel).points)
+        lattice = list(itertools.product(range(-2, 3), repeat=self.dim))
         for m in self.members:
-            ev = m.evaluator
-            # Both evaluator types depend on y only through u, and many
-            # lattice probes share a u: evaluate each u once.
-            values: dict[Fraction, object] = {}
-            for y in probes:
-                inside = poly_contains_point(m.sublevel, y)
-                u = dot(ev.direction, y) + ev.shift
-                val = values.get(u)
-                if val is None:
-                    val = values[u] = ev.value_at(u)
-                if inside != (val <= 0):
-                    raise InputError(
-                        f"member {m.ident!r}: declared sublevel and evaluator disagree "
-                        f"at {y} (value {val}, declared {'inside' if inside else 'outside'})"
-                    )
+            _check_declared_sublevel(m, vertices, lattice)
+
+
+def _check_declared_sublevel(m: QCMember, vertices: list[Vec], lattice) -> None:
+    """Raise InputError at the first probe where m's declared sublevel and
+    its evaluator disagree: the vertices first, then the lattice points c,
+    each standing for the probe y = c/2."""
+    ev = m.evaluator
+    # Both evaluator types depend on y only through u, and many probes
+    # share a u: evaluate each u once.
+    values: dict[Fraction, object] = {}
+
+    def value(u: Fraction):
+        val = values.get(u)
+        if val is None:
+            val = values[u] = ev.value_at(u)
+        return val
+
+    for y in vertices:
+        val = value(dot(ev.direction, y) + ev.shift)
+        inside = poly_contains_point(m.sublevel, y)
+        if inside != (val <= 0):
+            raise _disagreement(m, y, val, inside)
+    rows = []
+    for h in m.sublevel.halfspaces:
+        r = primitive_ints(h.normal + (h.offset,))
+        rows.append((r[:-1], 2 * r[-1]))
+    den = math.lcm(*(q.denominator for q in ev.direction))
+    dint = [q.numerator * (den // q.denominator) for q in ev.direction]
+    at_k: dict[int, object] = {}
+    for c in lattice:
+        k = sum(map(operator.mul, dint, c))
+        val = at_k.get(k)
+        if val is None:
+            val = at_k[k] = value(Fraction(k, 2 * den) + ev.shift)
+        inside = all(sum(map(operator.mul, n, c)) <= off for n, off in rows)
+        if inside != (val <= 0):
+            raise _disagreement(m, tuple(Fraction(ci, 2) for ci in c), val, inside)
+
+
+def _disagreement(m: QCMember, y: Vec, val, inside: bool) -> InputError:
+    return InputError(
+        f"member {m.ident!r}: declared sublevel and evaluator disagree "
+        f"at {y} (value {val}, declared {'inside' if inside else 'outside'})"
+    )
 
 
 # --- closure compatibility ----------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, InternalCheckError, PreconditionError
+from .errors import InputError, InternalCheckError, PreconditionError, SizingError
 from .formulas import (
     FormulaResult,
     SGrid,
@@ -34,11 +34,13 @@ from .functions import (
     evaluate,
 )
 from .geometry import (
+    DEFAULT_ROW_CAP,
     ConeGen,
     GeneratorSet,
     HalfSpace,
     POS_INF,
     Vec,
+    cone,
     cone_contains,
     cone_multipliers,
     dot,
@@ -280,19 +282,27 @@ def check_optimal_convex(
 @dataclass(frozen=True)
 class CircleSampler:
     """Rational points of the unit circle via the half-tangent substitution:
-    level l yields the 2^l parameters u = j / 2^(l-1), j = -2^(l-1) ..
-    2^(l-1) - 1; levels nest and every level contains u = 0."""
+    level l yields the 2^l parameters u = j / h, h = 2^(l-1), j = -h .. h - 1,
+    at the points ((h^2 - j^2) / (h^2 + j^2), 2jh / (h^2 + j^2)). Levels nest:
+    level l is every 2^(L-l)-th point of level L >= l, and every level
+    contains u = 0. A level of more than DEFAULT_ROW_CAP points is refused
+    with SizingError before any point is built."""
 
     def points(self, level: int) -> list[tuple[Vec, Fraction]]:
         if level < 1:
             raise InputError("level must be at least 1")
-        half = 2 ** (level - 1)
+        if 2**level > DEFAULT_ROW_CAP:
+            raise SizingError(
+                f"a level-{level} circle sample has 2^{level} points, "
+                f"above the cap of {DEFAULT_ROW_CAP}"
+            )
+        h = 2 ** (level - 1)
+        hh = h * h
+        one = Fraction(1)
         out = []
-        for j in range(-half, half):
-            u = Fraction(j, half)
-            den = 1 + u * u
-            a = ((1 - u * u) / den, 2 * u / den)
-            out.append((a, Fraction(1)))
+        for j in range(-h, h):
+            den = hh + j * j
+            out.append(((Fraction(hh - j * j, den), Fraction(2 * j * h, den)), one))
         return out
 
 
@@ -332,12 +342,15 @@ class SipReport:
 
 
 def _active_cone(
-    constraints: Sequence[tuple[Vec, Fraction]], x: Vec
+    constraints: Sequence[tuple[Vec, Fraction]],
+    values: Sequence[Fraction],
+    indices: Sequence[int],
+    dim: int,
 ) -> tuple[list[int], ConeGen]:
-    from .geometry import cone
-
-    active = [i for i, (a, b) in enumerate(constraints) if dot(a, x) == b]
-    return active, cone(len(x), [constraints[i][0] for i in active], minimal=False)
+    """The indices i among indices whose constraint (a_i, b_i) is active,
+    values[i] = <a_i, x> = b_i, and the cone of their a_i."""
+    active = [i for i in indices if values[i] == constraints[i][1]]
+    return active, cone(dim, [constraints[i][0] for i in active], minimal=False)
 
 
 def check_sip_linear(instance: LinearSIPInstance) -> SipReport:
@@ -350,44 +363,52 @@ def check_sip_linear(instance: LinearSIPInstance) -> SipReport:
     at the finest level certifies optimality for the full program when the
     sampler is dense enough to contain every active parameter, which holds
     for the circle sampler since it keeps u = 0 at every level.
+
+    The levels nest, so only the finest level L is sampled, with one
+    <a, x> per point; level l is its slice of every 2^(L-l)-th point, checked
+    for feasibility and then given its active cone, level by level. A finest
+    level above the sampler's size cap raises SizingError before any point is
+    built.
     """
     x = vec(instance.point)
     c = vec(instance.cost)
     minus_c = vscale(Fraction(-1), c)
     if instance.constraints is not None:
-        for i, (a, b) in enumerate(instance.constraints):
-            if dot(a, x) > b:
+        cons = instance.constraints
+        values = []
+        for i, (a, b) in enumerate(cons):
+            values.append(dot(a, x))
+            if values[-1] > b:
                 raise PreconditionError(f"candidate point violates constraint {i}")
-        active, k = _active_cone(instance.constraints, x)
+        active, k = _active_cone(cons, values, range(len(cons)), len(x))
         mults = cone_multipliers(k, minus_c)
         if mults is not None:
             pairs = tuple(
                 (Fraction(i), m) for i, m in zip(active, mults) if m != 0
             )
             return SipReport(OPTIMAL, (), (Fraction(0),), multipliers=pairs)
-        ray = _descent_ray(instance.constraints, active, c, x)
+        ray = _descent_ray(cons, active, c, x)
         return SipReport(NOT_OPTIMAL, (), (), improving_ray=ray)
+    finest = instance.levels[-1]
+    pts = instance.sampler.points(finest)
+    values = [dot(a, x) for a, _ in pts]
     residuals: list[Fraction] = []
-    last_level_pts = None
     for level in instance.levels:
-        pts = instance.sampler.points(level)
-        for a, b in pts:
-            if dot(a, x) > b:
-                raise PreconditionError(
-                    f"candidate point violates a level-{level} sampled constraint"
-                )
-        _, k = _active_cone(pts, x)
+        indices = range(0, len(pts), 2 ** (finest - level))
+        if any(values[i] > pts[i][1] for i in indices):
+            raise PreconditionError(
+                f"candidate point violates a level-{level} sampled constraint"
+            )
+        active, k = _active_cone(pts, values, indices, len(x))
         dist, _ = sup_distance_to_cone(minus_c, k)
         if residuals and dist > residuals[-1]:
             raise InternalCheckError("residual increased along nested levels")
         residuals.append(dist)
-        last_level_pts = pts
     if residuals[-1] == 0:
-        active, k = _active_cone(last_level_pts, x)
         mults = cone_multipliers(k, minus_c)
         if mults is None:
             raise InternalCheckError("zero residual but -c has no cone multipliers")
-        half = 2 ** (instance.levels[-1] - 1)
+        half = 2 ** (finest - 1)
         pairs = []
         for idx, m in zip(active, mults):
             if m != 0:

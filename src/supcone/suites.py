@@ -564,9 +564,11 @@ def _dispatch(case: SuiteCase, payload: dict, mutate: bool) -> tuple[dict, dict]
     if kind == "normal-cone":
         res = sublevel_normal_cone_formula(
             payload["family"], payload["point"], payload["epsilon"],
-            mode=payload.get("mode", "auto"),
+            mode=payload.get("mode", "auto"), certify=False,
         )
         rep = verify_result(res, payload["family"], payload["point"], instance_id=case.ident)
+        # exact and oracle_agrees judge the computed cone, not the tampered one
+        res = res.with_oracle_agreement(rep.verdict == EQUAL)
         verdict, formula_cone = rep.verdict, res.cone
         if mutate:
             formula_cone, verdict = _tampered(rep)
@@ -576,8 +578,11 @@ def _dispatch(case: SuiteCase, payload: dict, mutate: bool) -> tuple[dict, dict]
         got = {"verdict": verdict, "cone_rays": rec["cone_rays"], "exact": res.exact}
         return rec, got
     if kind == "strict-cone":
-        res = strict_sublevel_normal_cone(payload["family"], payload["point"], payload["epsilon"])
+        res = strict_sublevel_normal_cone(
+            payload["family"], payload["point"], payload["epsilon"], certify=False
+        )
         rep = verify_result(res, payload["family"], payload["point"], instance_id=case.ident)
+        res = res.with_oracle_agreement(rep.verdict == EQUAL)
         rec = reports.cone_result_record("strict-cone", case.ident, res, rep)
         got = {"verdict": rep.verdict, "cone_rays": rec["cone_rays"], "exact": res.exact}
         return rec, got

@@ -151,3 +151,40 @@ def test_suite_case_evaluates_formula_once(monkeypatch, ident, which, mutate):
     assert ok is not tampered
     assert rec["verdict"] == ("violation" if tampered else "equal")
     assert ("oracle_rays" in rec) == (case.kind in ("strict-cone", "qc-cone"))
+
+
+SAMPLED_RUNS = [
+    ("max-affine", ["--mode", "sampled"]),
+    ("max-affine", ["--mode", "sampled", "--s-grid", "2:-2:2"]),
+    ("affine", ["--mode", "sampled"]),
+    ("corner", ["--strict", "--mode", "sampled"]),
+    ("max-affine", ["--mode", "sampled", "--no-verify"]),
+]
+
+
+@pytest.mark.parametrize("source,flags", SAMPLED_RUNS)
+def test_sampled_normal_cone_builds_the_oracle_cone_once(tmp_path, capsys, monkeypatch, source, flags):
+    # A verified run takes exact and oracle_agrees from its verdict; only
+    # --no-verify lets the formula certify itself.
+    path = corner_file(tmp_path) if source == "corner" else gen_file(tmp_path, source)
+    capsys.readouterr()
+    oracle_calls = count_calls(monkeypatch, oracle.polyhedron_normal_cone)
+
+    assert main(["normal-cone", path, "--format", "machine", *flags]) == 0
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+
+    assert len(oracle_calls) == 1
+    assert rec["mode"] == "sampled"
+    assert rec["exact"] is rec["oracle_agrees"] is True
+    assert rec.get("verdict", "equal") == "equal"
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_sampled_suite_case_builds_the_oracle_cone_once(monkeypatch, mutate):
+    case = next(c for c in curated_cases() if c.ident == "nc-sampled-slab")
+    oracle_calls = count_calls(monkeypatch, oracle.polyhedron_normal_cone)
+
+    rec, _ = run_case(case, mutate=mutate)
+
+    assert len(oracle_calls) == 1
+    assert rec["exact"] is rec["oracle_agrees"] is True
