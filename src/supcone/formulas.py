@@ -345,13 +345,21 @@ def sublevel_normal_cone_intersection(
         for v in eps_vals
     )
     dim = family.dim
-    polars = [cone_rays(list(res.cone.rays), dim) for res in results]
+    # Equal per-eps cones share one polar; the meets take each row once.
+    distinct = dict.fromkeys(res.cone.rays for res in results)
+    polar_of = {rays: cone_rays(list(rays), dim) for rays in distinct}
+    polars = [polar_of[res.cone.rays] for res in results]
 
     def meet(rows: list[list[Vec]]) -> ConeGen:
-        return inequality_cone([r for p in rows for r in p], dim)
+        return inequality_cone(list(dict.fromkeys(r for p in rows for r in p)), dim)
 
     final = meet(polars)
-    stabilized = len(polars) > 1 and cone_equal(meet(polars[:-1]), final)
+    head = polars[:-1]
+    # Rows the earlier polars already hold leave the same input, hence the
+    # same canonical cone.
+    stabilized = bool(head) and (
+        set(polars[-1]) <= {r for p in head for r in p} or cone_equal(meet(head), final)
+    )
     return IntersectionResult(final, results, stabilized)
 
 

@@ -4,9 +4,13 @@ cone_rays computes a generating set for {x in R^dim : <row, x> <= 0 for all
 rows}. The cone is embedded through x = u - v into the nonnegative orthant of
 R^(2*dim), which keeps every intermediate cone pointed; the textbook
 combinatorial adjacency test is only valid for pointed cones, and this
-sidesteps separate lineality bookkeeping. Constraints are inserted in
-lexicographic order of their primitive forms and the output is sorted, so the
-conversion is deterministic. Intermediate generator counts are capped.
+sidesteps separate lineality bookkeeping. Constraints are inserted sparsest
+first: by the number of nonzero entries of their primitive forms, ties in
+lexicographic order. A row with k nonzero entries is zero on the 2*(dim - k)
+unit rays outside its support, so the early insertions make few new rays
+(Fukuda & Prodon, "Double description method revisited", 1996, compare such
+orderings). The output is sorted, so the conversion is deterministic.
+Intermediate generator counts are capped.
 
 The conversion runs on Python ints. Every row is first scaled to its
 primitive integer form, so the lifted rows and every intermediate ray are
@@ -17,6 +21,14 @@ tight at it) is an int bitmask: bit i for coordinate i of (u, v), bit
 zero set contains their common zero set, that is iff ``common & z == common``
 holds for no third ray. Fractions appear only at the boundary: the rows come
 in as rationals and the rays leave as tuples of integral Fractions.
+
+Before that scan, a pair whose common zero set has fewer than 2*dim - 2 bits
+is skipped. A face of a polyhedral cone in R^N has dimension N minus the rank
+of the constraints tight on all of it, whatever the dimension of the cone.
+Two extreme rays are adjacent iff the smallest face holding both is
+2-dimensional, and the constraints tight on that face are exactly their
+common zero set. With N = 2*dim, adjacency needs that set to have rank
+N - 2, so it needs at least N - 2 members (orthant bits plus row bits).
 
 Output contract: the result is a generating set that depends on the cone
 alone, not on the order, multiplicity or redundancy of its rows. It is not
@@ -32,6 +44,7 @@ those are its extreme rays; see ``sets.inequality_cone``).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from ..errors import InputError, SizingError
@@ -46,7 +59,11 @@ def cone_rays(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> list
     for r in clean:
         if len(r) != dim:
             raise InputError(f"dimension mismatch: {2 * len(r)} vs {2 * dim}")
+    # Sparsest row first; the sort is stable, so ties keep their lex order.
+    clean.sort(key=lambda r: dim - r.count(0))
     emb = 2 * dim
+    # Two rays are adjacent only if they share emb - 2 tight constraints.
+    need = emb - 2
     # <a, u - v> <= 0 lifts to <(a, -a), (u, v)> <= 0.
     lifted = [r + tuple(-x for x in r) for r in clean]
 
@@ -65,7 +82,7 @@ def cone_rays(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> list
         neg: list[tuple[tuple[int, ...], int, int]] = []
         pos: list[tuple[tuple[int, ...], int, int]] = []
         for ray, zs in zip(rays, zsets):
-            d = sum(x * y for x, y in zip(a, ray))
+            d = sum(map(mul, a, ray))
             if d == 0:
                 zero_r.append(ray)
                 zero_z.append(zs | bit)
@@ -79,6 +96,8 @@ def cone_rays(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> list
         for rp, zp, dp in pos:
             for rn, zn, dn in neg:
                 common = zp & zn
+                if common.bit_count() < need:
+                    continue
                 # rp and rn always contain common; a third ray that does
                 # rules the pair out.
                 hits = 0
