@@ -11,7 +11,6 @@ verify_result; the ground truth itself stays formula-free.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,7 +82,6 @@ class VerificationReport:
     formula_cone: ConeGen
     oracle_cone: ConeGen
     witness: Vec | None
-    elapsed: float  # wall seconds; kept in memory only, never serialized
 
 
 def compare_cones(formula_cone: ConeGen, oracle_cone: ConeGen):
@@ -112,7 +110,6 @@ def verify_result(
     which = "qc":       normal cone to an intersection of quasi-convex
                         zero-sublevel sets (family is a SublevelOracleQC).
     """
-    start = time.monotonic()
     if which == "sublevel":
         target = sup_sublevel_polyhedron([f for _, f in family.members])
     elif which == "dom":
@@ -131,7 +128,6 @@ def verify_result(
         formula_cone=res.cone,
         oracle_cone=oracle_cone,
         witness=witness,
-        elapsed=time.monotonic() - start,
     )
 
 

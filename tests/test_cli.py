@@ -200,7 +200,6 @@ def test_reports_never_leak_timing() -> None:
     res = sublevel_normal_cone_formula(fam, vec((0, 0)), 1)
     rec = reports.cone_result_record("normal-cone", "x", res, verification=rep)
     text = reports.render([rec], "machine")
-    assert rep.elapsed > 0
     assert "elapsed" not in text
     assert "time" not in text
 
