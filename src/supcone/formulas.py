@@ -70,7 +70,6 @@ from .geometry import (
     poly_contains_point,
     poly_equal,
     polyhedron,
-    primitive_ints,
     rat,
     vadd,
     vec,
@@ -572,7 +571,7 @@ class SublevelOracleQC:
     declared vertices and a fixed half-integer lattice; any mismatch (in
     particular a non-closed evaluator sublevel) is rejected. A lattice probe
     y = c/2, c in {-2..2}^dim, is tested on ints: <n, c> <= 2*offset on each
-    halfspace's primitive int row (n, offset), and u = <direction, y> + shift
+    halfspace's canonical int row (n, offset), and u = <direction, y> + shift
     is keyed on k = <D*direction, c> with D the lcm of the direction's
     denominators. Each member's evaluator is called once per distinct u.
     """
@@ -618,10 +617,7 @@ def _check_declared_sublevel(m: QCMember, vertices: list[Vec], lattice) -> None:
         inside = poly_contains_point(m.sublevel, y)
         if inside != (val <= 0):
             raise _disagreement(m, y, val, inside)
-    rows = []
-    for h in m.sublevel.halfspaces:
-        r = primitive_ints(h.normal + (h.offset,))
-        rows.append((r[:-1], 2 * r[-1]))
+    rows = [(h.normal, 2 * h.offset) for h in m.sublevel.halfspaces]
     den = math.lcm(*(q.denominator for q in ev.direction))
     dint = [q.numerator * (den // q.denominator) for q in ev.direction]
     at_k: dict[int, object] = {}

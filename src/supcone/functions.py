@@ -142,7 +142,7 @@ def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
     set is the same for every generating set of epi f.
     """
     rows = [HalfSpace(p.slope + (Fraction(-1),), -p.intercept) for p in f.pieces]
-    rows.extend(HalfSpace(h.normal + (Fraction(0),), h.offset) for h in f.domain.halfspaces)
+    rows.extend(HalfSpace(h.normal + (0,), h.offset) for h in f.domain.halfspaces)
     return h_to_v(polyhedron(f.dim + 1, rows), minimal=False)
 
 
@@ -199,7 +199,7 @@ def eps_normal_set(domain: PolyhedronH, x: Vec, eps) -> GeneratorSet:
     if gen.is_empty:
         return empty_generators(domain.dim)
     hs = [HalfSpace(vsub(p, x), e) for p in gen.points]
-    hs.extend(HalfSpace(r, Fraction(0)) for r in gen.rays)
+    hs.extend(HalfSpace(r, 0) for r in gen.rays)
     return h_to_v(polyhedron(domain.dim, hs))
 
 

@@ -19,8 +19,8 @@ coordinates. A ray's zero set (the orthant coordinates and inserted rows
 tight at it) is an int bitmask: bit i for coordinate i of (u, v), bit
 2*dim + j for the j-th inserted row. Two rays are adjacent iff no other ray's
 zero set contains their common zero set, that is iff ``common & z == common``
-holds for no third ray. Fractions appear only at the boundary: the rows come
-in as rationals and the rays leave as tuples of integral Fractions.
+holds for no third ray. The rows may come in as any rationals; the rays
+leave as primitive int tuples, the representation of every direction.
 
 Before that scan, a pair whose common zero set has fewer than 2*dim - 2 bits
 is skipped. A face of a polyhedral cone in R^N has dimension N minus the rank
@@ -48,12 +48,14 @@ from operator import mul
 from typing import Sequence
 
 from ..errors import InputError, SizingError
-from .vec import Vec, divide_gcd, primitive_ints, to_fractions
+from .vec import Vec, divide_gcd, primitive_ints
 
 DEFAULT_ROW_CAP = 10**6
 
 
-def cone_rays(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> list[Vec]:
+def cone_rays(
+    rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP
+) -> list[tuple[int, ...]]:
     """Generators (primitive, lex-sorted) of the cone {x : <row, x> <= 0}."""
     clean = sorted({p for p in (primitive_ints(tuple(r)) for r in rows) if any(p)})
     for r in clean:
@@ -127,4 +129,4 @@ def cone_rays(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> list
         x = [ray[i] - ray[dim + i] for i in range(dim)]
         if any(x):
             out.add(divide_gcd(x))
-    return [to_fractions(r) for r in sorted(out)]
+    return sorted(out)

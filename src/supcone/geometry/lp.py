@@ -15,8 +15,9 @@ The tableau is held in Python ints: each row is an integer vector over its
 own positive denominator, and both are divided by their gcd after every
 pivot. Signs are read from the numerators, and the ratio test compares
 rhs/entry quotients by cross-multiplication (a row's denominator cancels in
-its own quotient). Rationals enter and leave as Fractions, so the exact
-pivots, and therefore every result, are those of a Fraction tableau.
+its own quotient). Rationals enter as ints or Fractions and leave as
+Fractions, so the exact pivots, and therefore every result, are those of a
+Fraction tableau.
 """
 
 from __future__ import annotations

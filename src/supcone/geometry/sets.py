@@ -11,11 +11,12 @@ homogenization; membership and equality questions run through exact LPs.
 Canonical forms (primitive integer directions, lexicographic order, redundant
 generators removed) make equality checks and report files stable.
 
-The canonical forms are built on ints. polyhedron, generators and cone
-deduplicate and sort rows and rays as primitive int tuples, whose lex order
-is the lex order of the same values as Fractions, and build each Fraction
-tuple once, at the end. The conversions read the integral cone_rays output
-as ints; h_to_v forms each point as Fraction(x, t).
+Directions are primitive int tuples; points and scalars are Fractions.
+polyhedron stores each row as the int tuple primitive_ints gives for
+(normal, offset), and generators and cone store each ray as its primitive
+int tuple; the lex order of those tuples is the lex order of the same values
+as Fractions. The conversions read the cone_rays output as it comes, and
+h_to_v forms each point as Fraction(x, t).
 
 Redundant generators are removed in one of two ways. Where the rows of a
 conversion are at hand (h_to_v, recession_cone, cone_polar, inequality_cone)
@@ -42,10 +43,8 @@ from .vec import (
     divide_gcd,
     dot,
     is_zero_vec,
-    primitive,
     primitive_ints,
     rat,
-    to_fractions,
     vadd,
     vec,
     vscale,
@@ -58,7 +57,7 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """{y : <normal, y> <= offset}."""
+    """{y : <normal, y> <= offset}; ints in a canonical polyhedron."""
 
     normal: Vec
     offset: Fraction
@@ -76,7 +75,7 @@ class GeneratorSet:
 
     dim: int
     points: tuple[Vec, ...]
-    rays: tuple[Vec, ...]
+    rays: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.points and self.rays:
@@ -92,7 +91,7 @@ class ConeGen:
     """cone(rays); the empty ray list is the zero cone {theta}."""
 
     dim: int
-    rays: tuple[Vec, ...]
+    rays: tuple[tuple[int, ...], ...]
 
     @property
     def is_zero(self) -> bool:
@@ -119,9 +118,7 @@ def polyhedron(dim: int, halfspaces: Iterable[HalfSpace] = ()) -> PolyhedronH:
                 return empty_polyhedron(dim)
             continue
         rows.add(joint)
-    return PolyhedronH(
-        dim, tuple(HalfSpace(to_fractions(r[:dim]), Fraction(r[dim])) for r in sorted(rows))
-    )
+    return PolyhedronH(dim, tuple(HalfSpace(r[:dim], r[dim]) for r in sorted(rows)))
 
 
 def whole_space(dim: int) -> PolyhedronH:
@@ -129,7 +126,7 @@ def whole_space(dim: int) -> PolyhedronH:
 
 
 def empty_polyhedron(dim: int) -> PolyhedronH:
-    return PolyhedronH(dim, (HalfSpace(zero_vec(dim), Fraction(-1)),))
+    return PolyhedronH(dim, (HalfSpace((0,) * dim, -1),))
 
 
 def empty_generators(dim: int) -> GeneratorSet:
@@ -157,7 +154,7 @@ def generators(
         return GeneratorSet(dim, (), ())
     if minimal:
         if len(rys) > 1:
-            kept: list[Vec] = list(rys)
+            kept = list(rys)
             i = 0
             while i < len(kept):
                 if lp.solve_nonneg_combination(kept[:i] + kept[i + 1 :], kept[i]) is not None:
@@ -166,14 +163,12 @@ def generators(
                     i += 1
             rys = kept
         if len(pts) > 1:
-            one = Fraction(1)
-            zero = Fraction(0)
             keep_pts: list[Vec] = list(pts)
             i = 0
             while i < len(keep_pts):
                 others = keep_pts[:i] + keep_pts[i + 1 :]
-                cols = [q + (one,) for q in others] + [r + (zero,) for r in rys]
-                if lp.solve_nonneg_combination(cols, keep_pts[i] + (one,)) is not None:
+                cols = [q + (1,) for q in others] + [r + (0,) for r in rys]
+                if lp.solve_nonneg_combination(cols, keep_pts[i] + (1,)) is not None:
                     keep_pts.pop(i)
                 else:
                     i += 1
@@ -185,7 +180,7 @@ def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
     """Canonical cone: primitive sorted rays; minimal=True drops redundant ones."""
     rys = _canonical_rays(dim, rays)
     if minimal and len(rys) > 1:
-        kept: list[Vec] = list(rys)
+        kept = list(rys)
         i = 0
         while i < len(kept):
             others = kept[:i] + kept[i + 1 :]
@@ -197,18 +192,13 @@ def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
     return ConeGen(dim, tuple(rys))
 
 
-def _canonical_rays(dim: int, rays: Iterable[Vec]) -> list[Vec]:
-    """Distinct nonzero rays in primitive form and lexicographic order.
-
-    Deduplicated and sorted as primitive int tuples, whose lex order is the
-    lex order of the same values as Fractions; each Fraction tuple is built
-    once, at the end.
-    """
+def _canonical_rays(dim: int, rays: Iterable[Vec]) -> list[tuple[int, ...]]:
+    """Distinct nonzero rays as primitive int tuples, in lexicographic order."""
     ints = sorted({p for p in (primitive_ints(tuple(r)) for r in rays) if any(p)})
     for r in ints:
         if len(r) != dim:
             raise InputError(f"ray has dim {len(r)}, expected {dim}")
-    return [to_fractions(r) for r in ints]
+    return ints
 
 
 # --- linear programming over an H-polyhedron -------------------------------
@@ -219,7 +209,7 @@ class LpResult:
     status: str  # lp.OPTIMAL | lp.INFEASIBLE | lp.UNBOUNDED
     value: Fraction | None = None
     point: Vec | None = None
-    ray: Vec | None = None
+    ray: tuple[int, ...] | None = None
 
 
 def lp_solve(objective: Vec, poly: PolyhedronH) -> LpResult:
@@ -235,10 +225,10 @@ def lp_solve(objective: Vec, poly: PolyhedronH) -> LpResult:
     rhs = []
     for i, h in enumerate(hs):
         row = [h.normal[k] for k in range(d)] + [-h.normal[k] for k in range(d)]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row += [1 if j == i else 0 for j in range(m)]
         rows.append(row)
         rhs.append(h.offset)
-    cost = [-c for c in objective] + [c for c in objective] + [Fraction(0)] * m
+    cost = [-c for c in objective] + [c for c in objective] + [0] * m
     res = lp.solve_min_eq(rows, rhs, cost)
     if res.status == lp.INFEASIBLE:
         return LpResult(lp.INFEASIBLE)
@@ -249,7 +239,7 @@ def lp_solve(objective: Vec, poly: PolyhedronH) -> LpResult:
         if res.ray is None:
             raise InternalCheckError("simplex reported unbounded without a ray")
         ray = tuple(res.ray[k] - res.ray[d + k] for k in range(d))
-        return LpResult(lp.UNBOUNDED, point=point, ray=primitive(ray))
+        return LpResult(lp.UNBOUNDED, point=point, ray=primitive_ints(ray))
     value = dot(objective, point)
     return LpResult(lp.OPTIMAL, value=value, point=point)
 
@@ -291,8 +281,8 @@ def h_to_v(
     """
     d = poly.dim
     rows = [h.normal + (-h.offset,) for h in poly.halfspaces]
-    rows.append(zero_vec(d) + (Fraction(-1),))
-    rays = [tuple(c.numerator for c in r) for r in cone_rays(rows, d + 1, cap=cap)]
+    rows.append((0,) * d + (-1,))
+    rays = cone_rays(rows, d + 1, cap=cap)
     n_points = sum(1 for r in rays if r[d] > 0)
     if not n_points:
         return empty_generators(d)
@@ -307,7 +297,7 @@ def h_to_v(
     # Distinct primitive rays give distinct points; the rays with t = 0 stay
     # primitive and in lex order.
     points = sorted(tuple(Fraction(x, r[d]) for x in r[:d]) for r in rays if r[d] > 0)
-    recs = [to_fractions(r[:d]) for r in rays if r[d] == 0]
+    recs = [r[:d] for r in rays if r[d] == 0]
     if lp_prune:
         return generators(d, points, recs)
     return GeneratorSet(d, tuple(points), tuple(recs))
@@ -323,7 +313,7 @@ def v_to_h(gen: GeneratorSet, cap: int = DEFAULT_ROW_CAP) -> PolyhedronH:
     d = gen.dim
     if gen.is_empty:
         return empty_polyhedron(d)
-    rows = [p + (Fraction(1),) for p in gen.points] + [r + (Fraction(0),) for r in gen.rays]
+    rows = [p + (1,) for p in gen.points] + [r + (0,) for r in gen.rays]
     polar = cone_rays(rows, d + 1, cap=cap)
     hs = []
     for w in polar:
@@ -348,17 +338,17 @@ def recession_cone(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
 def inequality_cone(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
     """The minimal cone {x : <row, x> <= 0 for every row}.
 
-    Same result as cone(dim, cone_rays(rows, dim)). When the rows have full
-    rank, the rank test keeps the extreme rays, which are already canonical.
+    Same result as cone(dim, cone_rays(rows, dim)). The cone_rays output is
+    already canonical: distinct primitive int tuples in lex order. When the
+    rows have full rank, the rank test keeps its extreme rays.
     """
-    found = cone_rays(rows, dim, cap=cap)
-    rays = [tuple(c.numerator for c in r) for r in found]
+    rays = cone_rays(rows, dim, cap=cap)
     if len(rays) > 1:
         extreme = _extreme_rays(rows, rays, dim)
         if extreme is None:
-            return cone(dim, found)
+            return cone(dim, rays)
         rays = extreme
-    return ConeGen(dim, tuple(to_fractions(r) for r in rays))
+    return ConeGen(dim, tuple(rays))
 
 
 def _extreme_rays(
@@ -366,8 +356,10 @@ def _extreme_rays(
 ) -> list[tuple[int, ...]] | None:
     """The extreme rays among rays, a generating set of {x : <row, x> <= 0}.
 
-    rays are the integral cone_rays output as int tuples. When the nonzero
-    rows have rank n the cone is pointed, and a nonzero ray of it is extreme
+    rays are the cone_rays output, primitive int tuples. The rows pass
+    through primitive_ints once so that the rank runs on ints: the callers
+    also take rational rows, not only canonical ones. When the nonzero rows
+    have rank n the cone is pointed, and a nonzero ray of it is extreme
     iff the rows tight at it have rank n - 1 (Fukuda, "Frequently Asked
     Questions in Polyhedral Computation", 2004). The extreme rays of a
     pointed cone are its unique minimal generating set, which is what LP
@@ -513,9 +505,9 @@ def generator_member(gen: GeneratorSet, v: Vec) -> list[Fraction] | None:
     for k in range(d):
         rows.append([gen.points[i][k] for i in range(np_)] + [gen.rays[j][k] for j in range(nr)])
         rhs.append(v[k])
-    rows.append([Fraction(1)] * np_ + [Fraction(0)] * nr)
-    rhs.append(Fraction(1))
-    res = lp.solve_min_eq(rows, rhs, [Fraction(0)] * cols)
+    rows.append([1] * np_ + [0] * nr)
+    rhs.append(1)
+    res = lp.solve_min_eq(rows, rhs, [0] * cols)
     if res.status != lp.OPTIMAL:
         return None
     return res.point
@@ -564,15 +556,15 @@ def sup_distance_to_cone(v: Vec, c: ConeGen) -> tuple[Fraction, list[Fraction]]:
     rows = []
     rhs = []
     for k in range(d):
-        row = [c.rays[j][k] for j in range(nr)] + [Fraction(-1)]
-        row += [Fraction(1) if s == k else Fraction(0) for s in range(2 * d)]
+        row = [c.rays[j][k] for j in range(nr)] + [-1]
+        row += [1 if s == k else 0 for s in range(2 * d)]
         rows.append(row)
         rhs.append(v[k])
-        row2 = [-c.rays[j][k] for j in range(nr)] + [Fraction(-1)]
-        row2 += [Fraction(1) if s == d + k else Fraction(0) for s in range(2 * d)]
+        row2 = [-c.rays[j][k] for j in range(nr)] + [-1]
+        row2 += [1 if s == d + k else 0 for s in range(2 * d)]
         rows.append(row2)
         rhs.append(-v[k])
-    cost = [Fraction(0)] * nr + [Fraction(1)] + [Fraction(0)] * (2 * d)
+    cost = [0] * nr + [1] + [0] * (2 * d)
     res = lp.solve_min_eq(rows, rhs, cost)
     if res.status != lp.OPTIMAL or res.point is None or res.value is None:
         # mu = 0, t = sup|v_k| is feasible and t >= 0 bounds the objective

@@ -1,12 +1,13 @@
 """Exact rational scalars and fixed-length vectors.
 
-Everything is built on fractions.Fraction, which keeps values in lowest terms
-with a positive denominator. Vectors are plain tuples of Fractions; the
-helpers below never round and never touch floats. The exact kernels (the
-double description in dd.py and the simplex in lp.py) and the canonical
-constructors in sets.py take and return these Fraction vectors but run on
-Python ints internally: primitive_ints and to_fractions convert at their
-boundary.
+Directions are primitive int tuples; points and scalars are Fractions.
+Fractions keep values in lowest terms with a positive denominator, and a
+Python int is an integral rational with the same numerator, denominator,
+hash, order and equality as the Fraction of the same value, so the helpers
+below take either and never round or touch floats. The canonical
+constructors in sets.py store every ray and halfspace row as the int tuple
+primitive_ints returns, and the exact kernels (the double description in
+dd.py and the simplex in lp.py) run on ints.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterable, Sequence, Union
 
 from ..errors import InputError
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 
 RationalLike = Union[Fraction, int, str]
@@ -84,12 +84,9 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def sup_norm(a: Vec) -> Fraction:
-    return max((abs(x) for x in a), default=Fraction(0))
-
-
 def primitive_ints(a: Sequence[Fraction]) -> tuple[int, ...]:
-    """The primitive integer form of a direction, as a tuple of ints.
+    """The primitive integer form of a direction, as a tuple of ints: the
+    one representation of rays and halfspace rows.
 
     Clears denominators, divides by the gcd of the absolute numerators, and
     keeps the orientation (rays and halfspace normals are scale-invariant
@@ -103,17 +100,3 @@ def divide_gcd(xs: list[int]) -> tuple[int, ...]:
     """xs divided by the gcd of its entries; all zeros stay zeros."""
     g = gcd(*xs)
     return tuple(x // g for x in xs) if g > 1 else tuple(xs)
-
-
-def to_fractions(a: Iterable[int]) -> Vec:
-    return tuple(Fraction(n) for n in a)
-
-
-def primitive(a: Vec) -> Vec:
-    """Scale a direction to its primitive integer form (see primitive_ints).
-
-    The zero vector maps to itself.
-    """
-    if is_zero_vec(a):
-        return a
-    return to_fractions(primitive_ints(a))

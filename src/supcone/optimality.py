@@ -49,7 +49,7 @@ from .geometry import (
     lp_solve,
     poly_contains_point,
     polyhedron,
-    primitive,
+    primitive_ints,
     rat,
     sup_distance_to_cone,
     vadd,
@@ -202,9 +202,9 @@ def minimize_objective(prog: ProgramInstance):
     for p in prog.objective.pieces:
         rows.append(HalfSpace(p.slope + (Fraction(-1),), -p.intercept))
     for h in prog.objective.domain.halfspaces:
-        rows.append(HalfSpace(h.normal + (Fraction(0),), h.offset))
+        rows.append(HalfSpace(h.normal + (0,), h.offset))
     for h in sup_sublevel_polyhedron(prog.family.functions()).halfspaces:
-        rows.append(HalfSpace(h.normal + (Fraction(0),), h.offset))
+        rows.append(HalfSpace(h.normal + (0,), h.offset))
     obj = zero_vec(d) + (Fraction(-1),)
     res = lp_solve(obj, polyhedron(d + 1, rows))
     if res.status == lp.INFEASIBLE:
@@ -433,7 +433,7 @@ def _descent_ray(constraints, active: list[int], c: Vec, x: Vec) -> Vec:
         raise InternalCheckError(
             "active-cone test failed but no descent direction exists"
         )
-    return primitive(res.point)
+    return primitive_ints(res.point)
 
 
 # --- quasi-convex programs ------------------------------------------------------

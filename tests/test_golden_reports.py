@@ -82,13 +82,15 @@ def replay(workdir: str) -> list[tuple[str, str]]:
                 flag_sets = [[], ["--no-verify"]] if has_no_verify else [[]]
                 for fmt in FORMATS:
                     for flags in flag_sets:
-                        label = " ".join([command, name, "--format", fmt, *flags])
-                        results.append((label, _digest(*_run([command, path, "--format", fmt, *flags]))))
+                        argv = [command, path, "--format", fmt, *flags]
+                        label = " ".join([command, name, *argv[2:]])
+                        results.append((label, _digest(*_run(argv))))
     sip = os.path.join(workdir, "circle.json")
     with open(sip, "w", encoding="utf-8") as fh:
         json.dump(CIRCLE_SIP, fh)
     for fmt in FORMATS:
-        results.append((f"check-sip circle --format {fmt}", _digest(*_run(["check-sip", sip, "--format", fmt]))))
+        out = _run(["check-sip", sip, "--format", fmt])
+        results.append((f"check-sip circle --format {fmt}", _digest(*out)))
     for fmt in FORMATS:
         results.append((f"suite --format {fmt}", _digest(*_run(["suite", "--format", fmt]))))
     return results

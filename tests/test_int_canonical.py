@@ -3,12 +3,13 @@
 The reference functions below are ``polyhedron``, ``generators``, ``cone``
 and ``h_to_v`` as they were when the canonical forms deduplicated, sorted and
 divided ``Fraction`` tuples. They live here only to pin the integer-native
-constructors to identical output on seeded inputs: equal results whose
-coordinates are all ``Fraction``s.
+constructors to identical output on seeded inputs: equal results whose rays
+and halfspace rows are int tuples and whose points are ``Fraction``s.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -24,7 +25,6 @@ from supcone.geometry import (
     h_to_v,
     lp,
     polyhedron,
-    primitive,
     zero_vec,
 )
 from supcone.geometry.vec import divide_gcd, is_zero_vec, primitive_ints
@@ -35,6 +35,14 @@ F = Fraction
 # --------------------------------------------------------------- references
 
 
+def _ref_primitive(a):
+    """The Fraction primitive form the constructors used to build."""
+    mult = math.lcm(*(x.denominator for x in a))
+    ints = [x.numerator * (mult // x.denominator) for x in a]
+    g = math.gcd(*ints)
+    return tuple(F(n // g) for n in ints)
+
+
 def ref_polyhedron(dim, halfspaces):
     rows = []
     for h in halfspaces:
@@ -42,7 +50,7 @@ def ref_polyhedron(dim, halfspaces):
             if h.offset < 0:
                 return PolyhedronH(dim, (HalfSpace(zero_vec(dim), F(-1)),))
             continue
-        joint = primitive(h.normal + (h.offset,))
+        joint = _ref_primitive(h.normal + (h.offset,))
         rows.append(HalfSpace(joint[:-1], joint[-1]))
     uniq = sorted(set(rows), key=lambda h: tuple(h.normal + (h.offset,)))
     return PolyhedronH(dim, tuple(uniq))
@@ -60,7 +68,7 @@ def _ref_prune(kept, column):
 
 def ref_generators(dim, points=(), rays=(), minimal=True):
     pts = sorted({tuple(p) for p in points}, key=tuple)
-    rys = sorted({primitive(tuple(r)) for r in rays if not is_zero_vec(tuple(r))}, key=tuple)
+    rys = sorted({_ref_primitive(tuple(r)) for r in rays if not is_zero_vec(tuple(r))}, key=tuple)
     if not pts:
         return GeneratorSet(dim, (), ())
     if minimal:
@@ -76,7 +84,7 @@ def ref_generators(dim, points=(), rays=(), minimal=True):
 
 
 def ref_cone(dim, rays=(), minimal=True):
-    rys = sorted({primitive(tuple(r)) for r in rays if not is_zero_vec(tuple(r))}, key=tuple)
+    rys = sorted({_ref_primitive(tuple(r)) for r in rays if not is_zero_vec(tuple(r))}, key=tuple)
     if minimal and len(rys) > 1:
         rys = _ref_prune(list(rys), lambda k, i: (k[:i] + k[i + 1 :], k[i]))
     return ConeGen(dim, tuple(rys))
@@ -96,7 +104,7 @@ def ref_h_to_v(poly, minimal=True):
     for r in rays:
         t = r[d]
         if t > 0:
-            points.append(tuple(x / t for x in r[:d]))
+            points.append(tuple(F(x, t) for x in r[:d]))
         else:
             recs.append(r[:d])
     if not points:
@@ -218,6 +226,10 @@ def all_fractions(vectors) -> bool:
     return all(type(c) is Fraction for v in vectors for c in v)
 
 
+def all_ints(vectors) -> bool:
+    return all(type(c) is int for v in vectors for c in v)
+
+
 # --------------------------------------------------------------- differential
 
 
@@ -228,7 +240,7 @@ def test_polyhedron_matches_fraction_reference() -> None:
         rows = raw_halfspaces(rng, dim)
         got = polyhedron(dim, rows)
         assert got == ref_polyhedron(dim, rows), (dim, seed)
-        assert all_fractions(h.normal + (h.offset,) for h in got.halfspaces)
+        assert all_ints(h.normal + (h.offset,) for h in got.halfspaces)
         assert polyhedron(dim, got.halfspaces) == got
         zero_rows += any(is_zero_vec(h.normal) for h in rows)
         empty += got.halfspaces == ((HalfSpace(zero_vec(dim), F(-1))),)
@@ -245,10 +257,10 @@ def test_generators_and_cone_match_fraction_reference() -> None:
         for minimal in (True, False):
             got = generators(dim, points, rays, minimal=minimal)
             assert got == ref_generators(dim, points, rays, minimal=minimal), (dim, seed)
-            assert all_fractions(got.points + got.rays)
+            assert all_fractions(got.points) and all_ints(got.rays)
             c = cone(dim, rays, minimal=minimal)
             assert c == ref_cone(dim, rays, minimal=minimal), (dim, seed)
-            assert all_fractions(c.rays)
+            assert all_ints(c.rays)
         pruned += len(cone(dim, rays).rays) < len(cone(dim, rays, minimal=False).rays)
     assert pruned >= 100, pruned
 
@@ -260,10 +272,10 @@ def test_h_to_v_matches_fraction_reference() -> None:
         poly = PolyhedronH(dim, tuple(raw_halfspaces(rng, dim)))
         got = h_to_v(poly)
         assert got == ref_h_to_v(poly), (dim, seed)
-        assert all_fractions(got.points + got.rays)
+        assert all_fractions(got.points) and all_ints(got.rays)
         loose = h_to_v(poly, minimal=False)
         old = ref_h_to_v(poly, minimal=False)
-        assert all_fractions(loose.points + loose.rays)
+        assert all_fractions(loose.points) and all_ints(loose.rays)
         assert set(loose.points) <= set(old.points) and set(loose.rays) <= set(old.rays)
         assert list(loose.points) == sorted(loose.points)
         assert list(loose.rays) == sorted(loose.rays)

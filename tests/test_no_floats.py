@@ -132,14 +132,16 @@ def _results():
         yield f"06 inner {ident}", qc_sublevel_normal_cone(qc, x, F(1, 4))
         yield f"06 outer {ident}", frechet_outer_cone(qc, x, F(1, 4))
         for m in qc.members:
-            yield f"07 witness {ident} {m.ident}", inclusion_witness_check(m.evaluator, x, F(1, 16))
+            witness = inclusion_witness_check(m.evaluator, x, F(1, 16))
+            yield f"07 witness {ident} {m.ident}", witness
     for i in range(12):  # criterion 08
         g = random_program(random.Random(8000 + i))
         yield f"08 report {i}", check_optimal_convex(g.program, g.epsilon)
         yield f"08 minimize {i}", minimize_objective(g.program)
-    yield "09 sip", check_sip_linear(  # criterion 09
-        LinearSIPInstance(2, (F(-1), F(0)), (F(1), F(0)), sampler=CircleSampler(), levels=(4, 5, 6))
+    circle = LinearSIPInstance(  # criterion 09
+        2, (F(-1), F(0)), (F(1), F(0)), sampler=CircleSampler(), levels=(4, 5, 6)
     )
+    yield "09 sip", check_sip_linear(circle)
     for i in range(30):  # criterion 10
         p = random_polyhedron(random.Random(10_000 + i))
         gen = h_to_v(p)
@@ -151,7 +153,8 @@ def _results():
         a = random_generator_set(rng)
         polar = cone_polar(recession_of_generators(a))
         yield f"10 polar {i}", polar
-        yield f"10 support {i}", [support_function(a, random_direction(rng, a.dim)) for _ in range(3)]
+        dirs = [random_direction(rng, a.dim) for _ in range(3)]
+        yield f"10 support {i}", [support_function(a, d) for d in dirs]
         rng = random.Random(13_000 + i)
         dim = rng.choice((2, 3))
         x = random_point(rng, dim)

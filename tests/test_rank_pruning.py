@@ -62,7 +62,7 @@ def ref_h_to_v(poly: PolyhedronH):
     for r in cone_rays(rows, d + 1):
         t = r[d]
         if t > 0:
-            points.append(tuple(x / t for x in r[:d]))
+            points.append(tuple(F(x, t) for x in r[:d]))
         else:
             recs.append(r[:d])
     if not points:
