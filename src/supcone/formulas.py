@@ -10,12 +10,15 @@ members' domains. Every contribution is a polyhedron, so the hull of the
 union has recession cone cone(rays of all contributions), and each cone here
 is formed directly from those rays; no hull is built.
 
-For polyhedral data the recession cone of s * d_{eps/s} f_t(x) is
-N_{dom f_t}(x) whatever s and eps are, so one ray collection serves both
-evaluation modes: the rays of d_eps f_t(x) for each proper member with a
-restricted domain, the rays through d_0 f_t(x) of the active members (the
-s -> infinity limit), and the rays of the improper members' eps-normal sets.
-The modes differ only in what they check and report:
+For polyhedral data the recession cone of s * d_{eps/s} f_t(x), and of the
+eps-normal set of an improper member's domain, is N_{dom f_t}(x) whatever s
+and eps are, so one ray collection serves both evaluation modes: the rays of
+N_{dom f_t}(x) for every member, and the rays through d_0 f_t(x) of the
+active members (the s -> infinity limit). Where N_{dom f_t}(x) is pointed its
+rays are read off the domain rows active at x (functions.normal_cone_rays);
+only a cone that contains a line takes them from a conversion of d_eps f_t(x)
+or of the eps-normal set. The modes differ only in what they check and
+report:
 
 * exact-affine: every proper member must be one affine piece on the whole
   space; the result is exact by construction.
@@ -46,6 +49,7 @@ from .functions import (
     eps_subdifferential,
     evaluate,
     interval_equal,
+    normal_cone_rays,
     qc1d_closed_hull,
     qc1d_sublevel,
     sublevel_set,
@@ -61,6 +65,7 @@ from .geometry import (
     cone_equal,
     cone_rays,
     dot,
+    format_rat,
     generators,
     inequality_cone,
     intersect,
@@ -232,16 +237,27 @@ def _check_sublevel_point(family: SupFamily, x: Vec):
 
 
 def _subdifferential_rays(f: PolyhedralFunction, x: Vec, e: Fraction) -> tuple[Vec, ...]:
-    """Rays of d_e f(x). On the whole space d_e f(x) lies in the hull of the
-    slopes and has none, so only a member with domain rows is converted."""
+    """Rays of d_e f(x), the extreme rays of N_{dom f}(x): none on the whole
+    space (checked first, it is the common case), else read off the domain
+    rows active at x, and from the conversion of d_e f(x) only when that
+    cone has a line."""
     if not f.domain.halfspaces:
         return ()
-    return eps_subdifferential(f, x, e).rays
+    rays = normal_cone_rays(f.domain, x)
+    return eps_subdifferential(f, x, e).rays if rays is None else rays
+
+
+def _normal_set_rays(domain: PolyhedronH, x: Vec, e: Fraction) -> tuple[Vec, ...]:
+    """Rays of N^e_D(x), taken like those of _subdifferential_rays."""
+    rays = normal_cone_rays(domain, x)
+    return eps_normal_set(domain, x, e).rays if rays is None else rays
 
 
 def _sublevel_rays(family: SupFamily, x: Vec, e: Fraction) -> list[Vec]:
     """Rays of every contribution to A_e union B_e; their cone is N_[f<=0](x).
 
+    Every member adds the rays of N_{dom f}(x), read off its active domain
+    rows when that cone is pointed (_subdifferential_rays, _normal_set_rays).
     An active member adds the rays through d_0 f(x), which is {a} for a plain
     affine member. Those rays are pruned per member: for a non-pointed cone
     the generators cone() keeps depend on the set it is given.
@@ -250,7 +266,7 @@ def _sublevel_rays(family: SupFamily, x: Vec, e: Fraction) -> list[Vec]:
     rays: list[Vec] = []
     for _, f in family.members:
         if isinstance(f, ImproperFunction):
-            rays.extend(eps_normal_set(f.domain, x, e).rays)
+            rays.extend(_normal_set_rays(f.domain, x, e))
             continue
         rays.extend(_subdifferential_rays(f, x, e))
         if evaluate(f, x) == 0:
@@ -441,7 +457,7 @@ def dom_sup_normal_cone(
         for r in _subdifferential_rays(f, x, e / chosen[ident])
     ]
     for _, f in family.improper_items():
-        rays.extend(eps_normal_set(f.domain, x, e).rays)
+        rays.extend(_normal_set_rays(f.domain, x, e))
     return FormulaResult(cone(family.dim, rays), e, "dom", True)
 
 
@@ -632,9 +648,10 @@ def _check_declared_sublevel(m: QCMember, vertices: list[Vec], lattice) -> None:
 
 
 def _disagreement(m: QCMember, y: Vec, val, inside: bool) -> InputError:
+    probe = ", ".join(format_rat(c) for c in y)
     return InputError(
         f"member {m.ident!r}: declared sublevel and evaluator disagree "
-        f"at {y} (value {val}, declared {'inside' if inside else 'outside'})"
+        f"at ({probe}) (value {val}, declared {'inside' if inside else 'outside'})"
     )
 
 
@@ -805,7 +822,7 @@ def qc_sublevel_normal_cone(
                 f"closure compatibility failed (witness {cc.witness}); "
                 "the intersection formula is not justified for this family"
             )
-    rays = [r for m in qc.members for r in eps_normal_set(m.sublevel, x, e).rays]
+    rays = [r for m in qc.members for r in _normal_set_rays(m.sublevel, x, e)]
     return FormulaResult(cone(qc.dim, rays), e, "qc", True)
 
 

@@ -24,17 +24,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import InputError, InternalCheckError, RefusedError
+from .errors import InputError, InternalCheckError, PreconditionError, RefusedError
 from .geometry import (
     GeneratorSet,
     HalfSpace,
     POS_INF,
     PolyhedronH,
     Vec,
+    cone,
     dot,
     empty_generators,
     h_to_v,
     is_empty_poly,
+    lp,
     poly_contains_point,
     polyhedron,
     rat,
@@ -148,8 +150,42 @@ def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def domain_generators(domain: PolyhedronH) -> GeneratorSet:
-    """Generators of a domain; eps_normal_set reads them at every eps."""
+    """Generators of a domain. eps_normal_set reads them at every eps, and
+    the qc oracle reads its probe vertices here; the normal-cone formulas
+    need them only when N_D(x) contains a line (see normal_cone_rays)."""
     return h_to_v(domain)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...] | None:
+    """Extreme rays of N_D(x) = cone{a_i : <a_i, x> = b_i} for x in D, read
+    off the rows active at x; None when that cone contains a line.
+
+    For polyhedral data N_D(x) is the recession cone of every eps-normal set
+    N^eps_D(x) and of every d_eps f(x) with dom f = D, eps > 0, so callers
+    that read only the rays of those sets take them from here and convert
+    the set itself only on None. The bytes are the same: when N_D(x) is
+    pointed (0 is not in the convex hull of the active rows, one phase-1
+    LP) the converted set has no lines, its homogenized rows have full
+    rank, and h_to_v's rank test returns exactly its extreme rays, which
+    for a pointed cone are unique, primitive and lex-sorted, as
+    cone(dim, active) returns them. When N_D(x) contains a line its
+    generating set is not unique, and cone(dim, active) can differ from
+    the conversion's rays, so those callers must convert.
+    """
+    active = []
+    for h in domain.halfspaces:
+        v = dot(h.normal, x)
+        if v > h.offset:
+            raise PreconditionError("x is outside the domain")
+        if v == h.offset:
+            active.append(h.normal)
+    if not active:
+        return ()
+    d = domain.dim
+    if lp.solve_nonneg_combination([a + (1,) for a in active], (0,) * d + (1,)) is not None:
+        return None
+    return cone(d, active).rays
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -345,8 +345,9 @@ def test_cli_refused_maps_to_exit_3(tmp_path, capsys) -> None:
 
 
 def test_cli_sizing_error_maps_to_exit_3(tmp_path, capsys, monkeypatch) -> None:
-    # The improper member's eps-normal set needs a double-description
-    # conversion; a one-generator cap makes its first step overflow.
+    # The improper member's domain is the line {y2 = 0}: N_D(x) contains a
+    # line, so its rays come from a double-description conversion of the
+    # eps-normal set, and a one-generator cap makes its first step overflow.
     from supcone.geometry import dd, sets
 
     def capped(rows, dim, cap=None):
@@ -357,7 +358,7 @@ def test_cli_sizing_error_maps_to_exit_3(tmp_path, capsys, monkeypatch) -> None:
         2,
         (
             ("a", affine_function((1, 0), 0)),
-            ("i", ImproperFunction(2, polyhedron(2, [hs((0, 1), 0)]))),
+            ("i", ImproperFunction(2, polyhedron(2, [hs((0, 1), 0), hs((0, -1), 0)]))),
         ),
     )
     doc = instance_json("normal-cone", "capped", family=fam, point=vec((0, 0)), epsilon=F(1))

@@ -18,7 +18,7 @@ from supcone.errors import InputError
 from supcone.formulas import AffineComposed1D, QCMember, SmoothQCMember, SublevelOracleQC
 from supcone.functions import Affine1, QuasiConvex1D, domain_generators
 from supcone.generate import random_qc_instance
-from supcone.geometry import HalfSpace, dot, poly_contains_point, polyhedron, vscale
+from supcone.geometry import HalfSpace, dot, format_rat, poly_contains_point, polyhedron, vscale
 
 F = Fraction
 
@@ -40,9 +40,10 @@ def ref_validate(dim: int, members) -> None:
             if val is None:
                 val = values[u] = ev.value_at(u)
             if inside != (val <= 0):
+                probe = ", ".join(format_rat(c) for c in y)
                 raise InputError(
                     f"member {m.ident!r}: declared sublevel and evaluator disagree "
-                    f"at {y} (value {val}, declared {'inside' if inside else 'outside'})"
+                    f"at ({probe}) (value {val}, declared {'inside' if inside else 'outside'})"
                 )
 
 

@@ -18,6 +18,7 @@ from supcone.formulas import (
     DEFAULT_GRID,
     SGrid,
     SupFamily,
+    _is_plain_affine,
     dom_sup_normal_cone,
     sublevel_normal_cone_formula,
     sublevel_normal_cone_intersection,
@@ -28,11 +29,15 @@ from supcone.functions import (
     eps_normal_set,
     eps_subdifferential,
     evaluate,
+    max_affine,
 )
 from supcone.generate import random_affine_family, random_dom_family, random_max_affine_family
 from supcone.geometry import (
     closed_conv_hull_union,
+    cone,
+    cone_contains,
     cone_equal,
+    dot,
     generators,
     h_to_v,
     halfspace,
@@ -135,14 +140,48 @@ def test_sampled_intersection_matches_hull_intersection(seed) -> None:
     assert (res.cone, res.stabilized) == hull_intersection(hulls)
 
 
+def has_line(domain, x) -> bool:
+    """Does N_D(x) = cone(active rows) contain a line? It does iff the
+    negative of some active row lies in that cone."""
+    active = [h.normal for h in domain.halfspaces if dot(h.normal, x) == h.offset]
+    return any(cone_contains(cone(domain.dim, active), vscale(F(-1), a)) for a in active)
+
+
+# A max-affine member on the line {y2 = 0}, active at the origin, beside a
+# plain affine member: its rays come from a conversion of d_eps f(x).
+LINE = polyhedron(2, [halfspace((0, 1), 0), halfspace((0, -1), 0)])
+LINE_FAMILY = SupFamily(
+    2,
+    (
+        ("m", max_affine(2, [((1, 0), 0), ((-1, 1), 0)], LINE)),
+        ("a", affine_function((1, 1), -1)),
+    ),
+)
+ORIGIN = (F(0), F(0))
+
+
 @pytest.mark.parametrize("grid", [SGrid.from_values([1]), SGrid.geometric(min_exp=-2, max_exp=2), DEFAULT_GRID])
 def test_sampled_mode_takes_at_most_two_eps_subdifferentials_per_member(monkeypatch, grid) -> None:
+    # One d_0 f(x) per active member that is not plain affine, and one
+    # d_eps f(x) per member whose N_dom(x) contains a line; the other rays
+    # are read off the active domain rows.
     calls = count_calls(monkeypatch, functions.eps_subdifferential)
-    for seed in range(3000, 3004):
-        g = random_max_affine_family(random.Random(seed))
+    cases = [random_max_affine_family(random.Random(seed)) for seed in range(3000, 3004)]
+    cases = [(g.family, g.point, g.epsilon) for g in cases] + [(LINE_FAMILY, ORIGIN, F(1))]
+    counts = []
+    for family, x, e in cases:
         calls.clear()
-        sublevel_normal_cone_formula(g.family, g.point, g.epsilon, grid=grid, mode="sampled")
-        assert 0 < len(calls) <= 2 * len(g.family.proper_items())
+        sublevel_normal_cone_formula(family, x, e, grid=grid, mode="sampled")
+        want = []
+        for _, f in family.proper_items():
+            if has_line(f.domain, x):
+                want.append((f, e))
+            if evaluate(f, x) == 0 and not _is_plain_affine(f):
+                want.append((f, 0))
+        assert [(args[0], args[2]) for args, _ in calls] == want
+        assert len(calls) <= 2 * len(family.proper_items())
+        counts.append(len(calls))
+    assert counts == [1, 3, 1, 0, 2]
 
 
 def test_plain_affine_members_take_no_eps_subdifferential(monkeypatch) -> None:
@@ -155,24 +194,35 @@ def test_plain_affine_members_take_no_eps_subdifferential(monkeypatch) -> None:
 
 
 def test_dom_cone_converts_only_members_with_domain_rows(monkeypatch) -> None:
+    # Of the members with domain rows, only those whose N_dom(x) contains a
+    # line are converted.
     calls = count_calls(monkeypatch, functions.eps_subdifferential)
-    skipped = 0
-    for seed in range(4000, 4010):
-        g = random_dom_family(random.Random(seed))
+    cases = [random_dom_family(random.Random(seed)) for seed in range(4000, 4010)]
+    cases = [(g.family, g.point, g.epsilon, g.alpha) for g in cases]
+    cases.append((LINE_FAMILY, ORIGIN, F(1), None))
+    skipped = converted = 0
+    for family, x, e, alpha in cases:
         calls.clear()
-        dom_sup_normal_cone(g.family, g.point, g.epsilon, g.alpha)
-        proper = [f for _, f in g.family.proper_items()]
-        restricted = [f for f in proper if f.domain.halfspaces]
-        assert [args[0] for args, _ in calls] == restricted
-        skipped += len(proper) - len(restricted)
+        dom_sup_normal_cone(family, x, e, alpha)
+        proper = [f for _, f in family.proper_items()]
+        lines = [f for f in proper if has_line(f.domain, x)]
+        assert [args[0] for args, _ in calls] == lines
+        skipped += sum(1 for f in proper if f.domain.halfspaces and f not in lines)
+        converted += len(lines)
     assert skipped > 0
+    assert converted == 1
 
 
 def test_intersection_converts_each_domain_once_per_eps_list(monkeypatch) -> None:
-    dom = polyhedron(2, [halfspace((1, 0), 0)])
-    fam = SupFamily(2, (("a", affine_function((0, 1), 0)), ("imp", ImproperFunction(2, dom))))
-    functions.domain_generators.cache_clear()
+    # The pointed {y1 <= 0} is read off its active row and never converted;
+    # the line {y1 = 0} is converted once for the whole eps-list.
     calls = count_calls(monkeypatch, h_to_v)
-    res = sublevel_normal_cone_intersection(fam, (F(0), F(0)), (F(1), F(1, 2), F(1, 4)))
-    assert res.stabilized
-    assert sum(1 for args, _ in calls if args[0] == dom) == 1
+    pointed = polyhedron(2, [halfspace((1, 0), 0)])
+    line = polyhedron(2, [halfspace((1, 0), 0), halfspace((-1, 0), 0)])
+    for dom, conversions in ((pointed, 0), (line, 1)):
+        fam = SupFamily(2, (("a", affine_function((0, 1), 0)), ("imp", ImproperFunction(2, dom))))
+        functions.domain_generators.cache_clear()
+        calls.clear()
+        res = sublevel_normal_cone_intersection(fam, ORIGIN, (F(1), F(1, 2), F(1, 4)))
+        assert res.stabilized
+        assert sum(1 for args, _ in calls if args[0] == dom) == conversions
