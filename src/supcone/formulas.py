@@ -17,8 +17,13 @@ N_{dom f_t}(x) for every member, and the rays through d_0 f_t(x) of the
 active members (the s -> infinity limit). Where N_{dom f_t}(x) is pointed its
 rays are read off the domain rows active at x (functions.normal_cone_rays);
 only a cone that contains a line takes them from a conversion of d_eps f_t(x)
-or of the eps-normal set. The modes differ only in what they check and
-report:
+or of the eps-normal set. Those rays are eps-free too: they are the images of
+the extreme rays of the lifted DD cone on its face u_t = v_t = 0 (t the
+homogenizing coordinate), eps enters only t's column, so that face does not
+move with eps, and the pruning after it compares rays with rays only. The
+ray collection, and so the cone, is the same at every eps, and the
+intersection form over an eps-list forms it once. The modes differ only in
+what they check and report:
 
 * exact-affine: every proper member must be one affine piece on the whole
   space; the result is exact by construction.
@@ -70,6 +75,7 @@ from .geometry import (
     inequality_cone,
     intersect,
     is_empty_poly,
+    is_pointed,
     lp,
     lp_solve,
     poly_contains_point,
@@ -132,12 +138,17 @@ def evaluate_sup(family: SupFamily, x: Vec):
     return best
 
 
-def reach_weights(family: SupFamily, x: Vec, eps) -> dict[str, Fraction]:
-    """Per proper member: 1 on the near-attaining set, else
-    -eps / (2 f_t(x) - 2 f(x) + eps), always in (0, 1]."""
+def _positive_eps(eps) -> Fraction:
     e = rat(eps)
     if e <= 0:
         raise InputError("eps must be positive")
+    return e
+
+
+def reach_weights(family: SupFamily, x: Vec, eps) -> dict[str, Fraction]:
+    """Per proper member: 1 on the near-attaining set, else
+    -eps / (2 f_t(x) - 2 f(x) + eps), always in (0, 1]."""
+    e = _positive_eps(eps)
     fx = evaluate_sup(family, x)
     if fx == POS_INF or fx == NEG_INF:
         raise PreconditionError("f(x) must be finite")
@@ -225,17 +236,6 @@ def _is_plain_affine(f: Member) -> bool:
     )
 
 
-def _check_sublevel_point(family: SupFamily, x: Vec):
-    fx = evaluate_sup(family, x)
-    if fx == POS_INF:
-        raise PreconditionError("x is outside the domain of some member")
-    if fx == NEG_INF:
-        raise PreconditionError("f(x) must be finite: the family needs a proper member at x")
-    if fx > 0:
-        raise PreconditionError(f"x is outside [f <= 0]: f(x) = {fx}")
-    return fx
-
-
 def _subdifferential_rays(f: PolyhedralFunction, x: Vec, e: Fraction) -> tuple[Vec, ...]:
     """Rays of d_e f(x), the extreme rays of N_{dom f}(x): none on the whole
     space (checked first, it is the common case), else read off the domain
@@ -279,6 +279,54 @@ def _sublevel_rays(family: SupFamily, x: Vec, e: Fraction) -> list[Vec]:
     return rays
 
 
+def _checked_point(family: SupFamily, x: Vec, eps, outside: str):
+    """(eps, point, f(x)) after the shared checks; outside: the off-domain text."""
+    e = _positive_eps(eps)
+    x = vec(x)
+    if len(x) != family.dim:
+        raise InputError("point dimension mismatch")
+    fx = evaluate_sup(family, x)
+    if fx == POS_INF:
+        raise PreconditionError(outside)
+    if fx == NEG_INF:
+        raise PreconditionError("f(x) must be finite: the family needs a proper member at x")
+    return e, x, fx
+
+
+def _check_sublevel_input(family: SupFamily, x: Vec, eps, mode: str):
+    """Validate a sublevel formula call: (eps, point, mode resolved from auto)."""
+    e, x, fx = _checked_point(family, x, eps, "x is outside the domain of some member")
+    if fx > 0:
+        raise PreconditionError(f"x is outside [f <= 0]: f(x) = {fx}")
+    affine_ok = all(
+        _is_plain_affine(f) or isinstance(f, ImproperFunction) for _, f in family.members
+    )
+    if mode == "auto":
+        mode = MODE_EXACT_AFFINE if affine_ok else MODE_SAMPLED
+    elif mode == MODE_EXACT_AFFINE and not affine_ok:
+        raise InputError(
+            "exact-affine mode needs every proper member to be a single "
+            "affine piece on the whole space"
+        )
+    elif mode not in (MODE_EXACT_AFFINE, MODE_SAMPLED):
+        raise InputError(f"unknown mode {mode!r}")
+    return e, x, mode
+
+
+def _sublevel_result(family: SupFamily, x: Vec, coneg: ConeGen, e, mode, grid, certify):
+    """The FormulaResult for cone coneg at eps e in a resolved mode."""
+    if mode == MODE_EXACT_AFFINE:
+        return FormulaResult(coneg, e, MODE_EXACT_AFFINE, True)
+    agrees: bool | None = None
+    if certify:
+        from . import oracle as _oracle  # late import; the oracle never imports back
+
+        target = _oracle.sup_sublevel_polyhedron(family.functions())
+        agrees = cone_equal(coneg, _oracle.polyhedron_normal_cone(target, x))
+    grid = grid if grid is not None else DEFAULT_GRID
+    return FormulaResult(coneg, e, MODE_SAMPLED, bool(agrees), grid, True, agrees)
+
+
 def sublevel_normal_cone_formula(
     family: SupFamily,
     x: Vec,
@@ -296,39 +344,9 @@ def sublevel_normal_cone_formula(
     no grid, coarse or refined, changes the cone. certify=True compares the
     cone with the oracle's; exact is that comparison.
     """
-    e = rat(eps)
-    if e <= 0:
-        raise InputError("eps must be positive")
-    x = vec(x)
-    if len(x) != family.dim:
-        raise InputError("point dimension mismatch")
-    _check_sublevel_point(family, x)
-    affine_ok = all(
-        _is_plain_affine(f) or isinstance(f, ImproperFunction) for _, f in family.members
-    )
-    if mode == "auto":
-        mode = MODE_EXACT_AFFINE if affine_ok else MODE_SAMPLED
-    elif mode == MODE_EXACT_AFFINE:
-        if not affine_ok:
-            raise InputError(
-                "exact-affine mode needs every proper member to be a single "
-                "affine piece on the whole space"
-            )
-    elif mode != MODE_SAMPLED:
-        raise InputError(f"unknown mode {mode!r}")
-
+    e, x, mode = _check_sublevel_input(family, x, eps, mode)
     coneg = cone(family.dim, _sublevel_rays(family, x, e))
-    if mode == MODE_EXACT_AFFINE:
-        return FormulaResult(coneg, e, MODE_EXACT_AFFINE, True)
-
-    agrees: bool | None = None
-    if certify:
-        from . import oracle as _oracle  # late import; the oracle never imports back
-
-        target = _oracle.sup_sublevel_polyhedron(family.functions())
-        agrees = cone_equal(coneg, _oracle.polyhedron_normal_cone(target, x))
-    sgrid = grid if grid is not None else DEFAULT_GRID
-    return FormulaResult(coneg, e, MODE_SAMPLED, bool(agrees), sgrid, True, agrees)
+    return _sublevel_result(family, x, coneg, e, mode, grid, certify)
 
 
 @dataclass(frozen=True)
@@ -346,36 +364,30 @@ def sublevel_normal_cone_intersection(
     mode: str = "auto",
 ) -> IntersectionResult:
     """The intersection form: recession of the intersection of the per-eps
-    hulls. Every hull contains the origin, so that recession cone is the
-    intersection of the per-eps cones (Rockafellar, Convex Analysis, Cor.
-    8.3.3); each cone enters through its polar's generators as homogeneous
-    rows. stabilized: dropping the last eps leaves the intersection as is."""
+    hulls, which all contain the origin, so it is the intersection of the
+    per-eps cones (Rockafellar, Convex Analysis, Cor. 8.3.3). Those cones
+    are one cone C, as the ray collection is eps-free (module docstring): C
+    is formed once, after the checks at the first eps (a later non-positive
+    eps is refused after them, as in a per-eps loop), and every per-eps
+    result carries it. A pointed C is the intersection as it is: C°° = C
+    (Thm. 14.1), and its one minimal generating set, the extreme rays, is
+    what cone() keeps. A C with a line has many, and its generators stay
+    those of the meet of its polar, inequality_cone(cone_rays(C)).
+    stabilized (dropping the last eps keeps the intersection) holds iff
+    there is an eps to drop: len > 1."""
     eps_vals = [rat(v) for v in eps_list]
     if not eps_vals:
         raise InputError("need at least one eps value")
     if len(set(eps_vals)) != len(eps_vals):
         raise InputError("eps values must be distinct")
-    results = tuple(
-        sublevel_normal_cone_formula(family, x, v, grid=grid, mode=mode, certify=False)
-        for v in eps_vals
+    e, x, mode = _check_sublevel_input(family, x, eps_vals[0], mode)
+    coneg = cone(family.dim, _sublevel_rays(family, x, e))
+    per_eps = tuple(
+        _sublevel_result(family, x, coneg, _positive_eps(v), mode, grid, False) for v in eps_vals
     )
-    dim = family.dim
-    # Equal per-eps cones share one polar; the meets take each row once.
-    distinct = dict.fromkeys(res.cone.rays for res in results)
-    polar_of = {rays: cone_rays(list(rays), dim) for rays in distinct}
-    polars = [polar_of[res.cone.rays] for res in results]
-
-    def meet(rows: list[list[Vec]]) -> ConeGen:
-        return inequality_cone(list(dict.fromkeys(r for p in rows for r in p)), dim)
-
-    final = meet(polars)
-    head = polars[:-1]
-    # Rows the earlier polars already hold leave the same input, hence the
-    # same canonical cone.
-    stabilized = bool(head) and (
-        set(polars[-1]) <= {r for p in head for r in p} or cone_equal(meet(head), final)
-    )
-    return IntersectionResult(final, results, stabilized)
+    if not is_pointed(family.dim, coneg.rays):
+        coneg = inequality_cone(cone_rays(coneg.rays, family.dim), family.dim)
+    return IntersectionResult(coneg, per_eps, len(eps_vals) > 1)
 
 
 def singleton_sublevel_normal_cone(
@@ -425,17 +437,7 @@ def dom_sup_normal_cone(
     reach weights; alpha=None uses them directly, alpha="ones" uses 1 for
     every member (valid since reach weights never exceed 1).
     """
-    e = rat(eps)
-    if e <= 0:
-        raise InputError("eps must be positive")
-    x = vec(x)
-    if len(x) != family.dim:
-        raise InputError("point dimension mismatch")
-    fx = evaluate_sup(family, x)
-    if fx == POS_INF:
-        raise PreconditionError("x is outside dom(sup f_t)")
-    if fx == NEG_INF:
-        raise PreconditionError("f(x) must be finite: the family needs a proper member at x")
+    e, x, _ = _checked_point(family, x, eps, "x is outside dom(sup f_t)")
     weights = reach_weights(family, x, e)
     if alpha is None:
         chosen = weights
@@ -808,9 +810,7 @@ def qc_sublevel_normal_cone(
     """Normal cone to the intersection of quasi-convex zero-sublevel sets:
     the recession of the hull of the per-member eps-normal sets. Refuses to
     run when closure compatibility (cc3) cannot be verified."""
-    e = rat(eps)
-    if e <= 0:
-        raise InputError("eps must be positive")
+    e = _positive_eps(eps)
     x = vec(x)
     for m in qc.members:
         if not poly_contains_point(m.sublevel, x):
@@ -841,9 +841,7 @@ def frechet_outer_cone(
 ) -> FrechetCone:
     """Outer estimate of the normal cone at x: gradients of near-active
     smooth members sampled on a lattice in the sup-norm eps-ball around x."""
-    e = rat(eps)
-    if e <= 0:
-        raise InputError("eps must be positive")
+    e = _positive_eps(eps)
     if samples_per_axis < 2:
         raise InputError("need at least two samples per axis")
     x = vec(x)
@@ -1005,9 +1003,7 @@ def inclusion_witness_check(
     ||p||_inf <= sqrt(eps); generators without a witness are reported as
     unresolved, never as refutations.
     """
-    e = rat(eps)
-    if e <= 0:
-        raise InputError("eps must be positive")
+    e = _positive_eps(eps)
     rho = _rational_sqrt(e)
     if rho is None:
         raise InputError("eps must be the square of a rational")

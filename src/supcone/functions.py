@@ -36,7 +36,7 @@ from .geometry import (
     empty_generators,
     h_to_v,
     is_empty_poly,
-    lp,
+    is_pointed,
     poly_contains_point,
     polyhedron,
     rat,
@@ -165,13 +165,13 @@ def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...]
     N^eps_D(x) and of every d_eps f(x) with dom f = D, eps > 0, so callers
     that read only the rays of those sets take them from here and convert
     the set itself only on None. The bytes are the same: when N_D(x) is
-    pointed (0 is not in the convex hull of the active rows, one phase-1
-    LP) the converted set has no lines, its homogenized rows have full
-    rank, and h_to_v's rank test returns exactly its extreme rays, which
-    for a pointed cone are unique, primitive and lex-sorted, as
-    cone(dim, active) returns them. When N_D(x) contains a line its
-    generating set is not unique, and cone(dim, active) can differ from
-    the conversion's rays, so those callers must convert.
+    pointed (is_pointed: 0 is not in the convex hull of the active rows) the
+    converted set has no lines, its homogenized rows have full rank, and
+    h_to_v's rank test returns exactly its extreme rays, which for a pointed
+    cone are unique, primitive and lex-sorted, as cone(dim, active) returns
+    them. When N_D(x) contains a line its generating set is not unique, and
+    cone(dim, active) can differ from the conversion's rays, so those
+    callers must convert.
     """
     active = []
     for h in domain.halfspaces:
@@ -180,12 +180,9 @@ def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...]
             raise PreconditionError("x is outside the domain")
         if v == h.offset:
             active.append(h.normal)
-    if not active:
-        return ()
-    d = domain.dim
-    if lp.solve_nonneg_combination([a + (1,) for a in active], (0,) * d + (1,)) is not None:
+    if not is_pointed(domain.dim, active):
         return None
-    return cone(d, active).rays
+    return cone(domain.dim, active).rays
 
 
 @lru_cache(maxsize=CACHE_SIZE)

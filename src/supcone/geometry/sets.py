@@ -468,6 +468,12 @@ def cone_contains(c: ConeGen, v: Vec) -> bool:
     return cone_multipliers(c, v) is not None
 
 
+def is_pointed(dim: int, rays: Sequence[Vec]) -> bool:
+    """Does cone(rays) hold no line? For nonzero rays it holds one iff 0 is
+    in conv(rays), one phase-1 LP; no rays give the zero cone."""
+    return lp.solve_nonneg_combination([tuple(r) + (1,) for r in rays], (0,) * dim + (1,)) is None
+
+
 def cone_equal(a: ConeGen, b: ConeGen) -> bool:
     """Mutual containment, checked generator-wise with exact LPs.
 

@@ -1,29 +1,56 @@
-"""The intersection form converts each distinct per-eps cone once.
+"""The intersection form computes its cone once per eps-list.
 
 ``ref_intersection`` is ``formulas.sublevel_normal_cone_intersection`` as it
-was before: one polar conversion per eps value, the meets on every row of
-every polar, and ``stabilized`` always from a second meet and ``cone_equal``.
-The current form must give the same cone, per-eps results and
-``stabilized`` flag.
+was before: the whole per-eps formula at every eps value, one polar
+conversion per eps, the meet on every row of every polar, and
+``stabilized`` from a second meet and ``cone_equal``. The current form
+collects the rays once, returns a pointed cone as it is and meets the polar
+only of a cone that contains a line. It must give the same cone, per-eps
+results, ``stabilized`` flag and errors.
+
+The seeded (family, eps-list) cases are the criterion-03 families in
+exact-affine mode, the criterion-02 families in sampled mode, and hand-built
+families in dims 2-5 whose members' domains hold the point on a line:
+improper members on domains with equality pairs and max-affine members on
+such domains. Their final cones often contain a line, where the polar meet
+picks the generators.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from supcone import formulas
-from supcone.errors import InputError
+from supcone.errors import InputError, PreconditionError
 from supcone.formulas import IntersectionResult, SupFamily, sublevel_normal_cone_intersection
-from supcone.functions import affine_function
-from supcone.generate import random_affine_family
-from supcone.geometry import cone, cone_equal, inequality_cone
+from supcone.functions import ImproperFunction, affine_function, max_affine
+from supcone.generate import (
+    random_affine_family,
+    random_direction,
+    random_max_affine_family,
+    random_point,
+)
+from supcone.geometry import (
+    HalfSpace,
+    cone_equal,
+    dot,
+    inequality_cone,
+    is_pointed,
+    polyhedron,
+    vscale,
+)
 from supcone.geometry.vec import rat
 
 F = Fraction
 
-EPS_LISTS = ((F(1),), (F(1, 3), F(1, 9)), (F(1), F(1, 2), F(1, 4)))
+EPS_LISTS = (
+    (F(1),),
+    (F(1, 1024),),
+    (F(1, 3), F(1, 9)),
+    (F(1024), F(1, 1024)),
+    (F(1), F(1, 2), F(1, 4)),
+)
 
 
 def ref_intersection(family, x, eps_list, grid=None, mode="auto"):
@@ -47,58 +74,143 @@ def ref_intersection(family, x, eps_list, grid=None, mode="auto"):
     return IntersectionResult(final, results, stabilized)
 
 
+def check_cases(cases, mode) -> int:
+    """Assert agreement on every (family, x, eps-list); return how many
+    final cones contain a line."""
+    lines = 0
+    for label, family, x in cases:
+        for eps_list in EPS_LISTS:
+            got = sublevel_normal_cone_intersection(family, x, eps_list, mode=mode)
+            want = ref_intersection(family, x, eps_list, mode=mode)
+            assert got == want, (label, eps_list, mode)
+            lines += not is_pointed(family.dim, got.cone.rays)
+    return lines
+
+
 @pytest.mark.parametrize("start", range(1000, 1200, 50))
 def test_intersection_matches_reference_on_criterion_03_families(start) -> None:
+    cases = []
     for seed in range(start, start + 50):
         g = random_affine_family(random.Random(seed))
-        for eps_list in EPS_LISTS:
-            got = sublevel_normal_cone_intersection(g.family, g.point, eps_list, mode="exact-affine")
-            want = ref_intersection(g.family, g.point, eps_list, mode="exact-affine")
-            assert got == want, (seed, eps_list)
+        cases.append((seed, g.family, g.point))
+    check_cases(cases, "exact-affine")
 
 
-def _random_cone(rng: random.Random, dim: int):
-    rays = [tuple(F(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(rng.randint(0, 4))]
-    return cone(dim, rays)
+def test_intersection_matches_reference_on_criterion_02_families() -> None:
+    cases = []
+    for seed in range(3000, 3040):
+        g = random_max_affine_family(random.Random(seed))
+        cases.append((seed, g.family, g.point))
+    check_cases(cases, "sampled")
 
 
-def test_intersection_matches_reference_when_per_eps_cones_differ(monkeypatch) -> None:
-    """Planted per-eps cones, some repeated, some nested, some not: every
-    branch of the polar sharing and of the stabilized shortcut."""
-    formula = formulas.sublevel_normal_cone_formula
-    planted: dict = {}
+def line_domain(rng: random.Random, x):
+    """A domain through x with one or two rows in +- pairs at x, so that
+    N_D(x) contains a line, and sometimes a row active or slack at x."""
+    dim = len(x)
+    rows = []
+    for _ in range(rng.randint(1, 2)):
+        n = random_direction(rng, dim)
+        rows += [HalfSpace(n, dot(n, x)), HalfSpace(vscale(F(-1), n), -dot(n, x))]
+    if rng.random() < 0.5:
+        n = random_direction(rng, dim)
+        rows.append(HalfSpace(n, dot(n, x) + rng.randint(0, 1)))
+    return polyhedron(dim, rows)
 
-    def planted_formula(family, x, eps, **kwargs):
-        return replace(formula(family, x, eps, **kwargs), cone=planted[eps])
 
-    monkeypatch.setattr(formulas, "sublevel_normal_cone_formula", planted_formula)
-    fam = SupFamily(2, (("f", affine_function((1, 0), 0)),))
-    x = (F(0), F(0))
-    flags = {True: 0, False: 0}
-    for seed in range(200):
-        rng = random.Random(seed)
-        eps_list = EPS_LISTS[seed % 3]
-        pool = [_random_cone(rng, 2) for _ in range(2)]
-        planted.clear()
-        planted.update((e, rng.choice(pool)) for e in eps_list)
-        got = sublevel_normal_cone_intersection(fam, x, eps_list)
-        want = ref_intersection(fam, x, eps_list)
-        assert got == want, seed
-        flags[got.stabilized] += len(eps_list) > 1
-    assert min(flags.values()) >= 20, flags
+def line_domain_family(rng: random.Random, dim: int, max_affine_members: bool):
+    """(family, x): a plain affine member at most 0 at x, one or two
+    improper members on line domains, and with max_affine_members one
+    max-affine member on a line domain, active or slack at x."""
+    x = random_point(rng, dim)
+    a = random_direction(rng, dim)
+    members = [("a", affine_function(a, -dot(a, x) - rng.randint(0, 1)))]
+    for k in range(rng.randint(1, 2)):
+        members.append((f"i{k}", ImproperFunction(dim, line_domain(rng, x))))
+    if max_affine_members:
+        slack = rng.randint(0, 1)
+        pieces = []
+        for _ in range(rng.randint(1, 2)):
+            s = random_direction(rng, dim)
+            pieces.append((s, -dot(s, x) - slack - rng.randint(0, 1)))
+        members.append(("m", max_affine(dim, pieces, line_domain(rng, x))))
+    return SupFamily(dim, tuple(members)), x
+
+
+def line_domain_cases(seed: int, count: int, max_affine_members: bool) -> list:
+    rng = random.Random(seed)
+    return [
+        (k, *line_domain_family(rng, 2 + k % 4, max_affine_members)) for k in range(count)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["exact-affine", "sampled"])
+def test_intersection_matches_reference_on_line_domain_families(mode) -> None:
+    lines = check_cases(line_domain_cases(13000, 60, False), mode)
+    if mode == "sampled":
+        lines += check_cases(line_domain_cases(13100, 30, True), mode)
+    assert lines >= 100, lines
+
+
+ORIGIN = (F(0), F(0))
+BAD_INPUTS = (
+    ((), ORIGIN, "auto"),
+    ((1, 1), ORIGIN, "auto"),
+    ((0, 1), ORIGIN, "auto"),
+    ((1, 0), ORIGIN, "auto"),
+    ((1, F(1, 2), -1), ORIGIN, "auto"),
+    ((-1, 1), (F(5), F(5)), "auto"),
+    ((1, -1), (F(5), F(5)), "auto"),
+    ((1, -1), (F(2), F(-3)), "auto"),
+    ((1, -1), (F(0),), "auto"),
+    ((1,), (F(0),) * 3, "auto"),
+    ((1, -1), ORIGIN, "exact-affine"),
+    ((-1,), ORIGIN, "exact-affine"),
+    ((1, 2), ORIGIN, "best"),
+)
+
+
+@pytest.mark.parametrize("eps_list,x,mode", BAD_INPUTS)
+def test_intersection_errors_match_reference(eps_list, x, mode) -> None:
+    """Bad eps-lists, points and modes raise the same error, in the order of
+    the per-eps loop: the first eps before the point and the mode, a later
+    eps only after them."""
+    fam = SupFamily(2, (
+        ("f", affine_function((1, 1), 0)),
+        ("g", max_affine(2, [((1, 0), 0), ((0, 1), 0)])),
+        ("d", ImproperFunction(2, polyhedron(2, [HalfSpace((F(1), F(0)), F(1))]))),
+    ))
+    errors = []
+    for run in (sublevel_normal_cone_intersection, ref_intersection):
+        with pytest.raises((InputError, PreconditionError)) as err:
+            run(fam, x, eps_list, mode=mode)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
 
 
 def test_intersection_converts_each_distinct_cone_once(monkeypatch) -> None:
-    calls = []
-    polar = formulas.cone_rays
+    """One ray collection per eps-list; no polar conversion for a pointed
+    cone, one for a cone with a line."""
+    polars, collections = [], []
+    polar, collect = formulas.cone_rays, formulas._sublevel_rays
 
-    def counted(rows, dim, *args, **kwargs):
-        calls.append(rows)
+    def counted_polar(rows, dim, *args, **kwargs):
+        polars.append(rows)
         return polar(rows, dim, *args, **kwargs)
 
-    monkeypatch.setattr(formulas, "cone_rays", counted)
+    def counted_collect(*args):
+        collections.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(formulas, "cone_rays", counted_polar)
+    monkeypatch.setattr(formulas, "_sublevel_rays", counted_collect)
     g = random_affine_family(random.Random(1000))
-    res = sublevel_normal_cone_intersection(g.family, g.point, EPS_LISTS[2], mode="exact-affine")
-    assert len({per.cone for per in res.per_eps}) == 1
+    res = sublevel_normal_cone_intersection(g.family, g.point, EPS_LISTS[4], mode="exact-affine")
+    assert is_pointed(g.family.dim, res.cone.rays)
     assert res.stabilized
-    assert len(calls) == 1
+    assert (len(polars), len(collections)) == (0, 1)
+
+    family, x = line_domain_family(random.Random(7), 3, False)
+    res = sublevel_normal_cone_intersection(family, x, EPS_LISTS[4])
+    assert not is_pointed(3, res.cone.rays)
+    assert (len(polars), len(collections)) == (1, 2)

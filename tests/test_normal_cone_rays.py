@@ -6,7 +6,8 @@ eps-normal set N^eps_D(x). ``formulas._subdifferential_rays`` and
 when N_D(x) is pointed and convert the set only when that cone contains a
 line. Both must return exactly the rays of the conversion,
 ``eps_subdifferential(f, x, eps).rays`` or ``eps_normal_set(D, x, eps).rays``,
-at every eps: the generators reach the reports.
+at every eps: the generators reach the reports. Those rays must also be
+the same at every eps, which lets the intersection form collect them once.
 
 The seeded (member, x) pairs span dims 1 to 5: the members of the
 criterion-02, -03 and -04 families at their anchors, random anchored
@@ -149,10 +150,15 @@ def rays_pair(member, x, e):
 
 @pytest.mark.parametrize("source", SOURCES)
 def test_rays_match_the_conversion(source) -> None:
+    """Also the premise of the intersection form's single ray collection:
+    the conversion's rays are the same at every eps."""
     for member, x in source_cases(source):
+        wants = set()
         for e in EPS:
             got, want = rays_pair(member, x, e)
             assert got == want, (member, x, e)
+            wants.add(want)
+        assert len(wants) == 1, (member, x)
 
 
 def test_cases_cover_the_fallback_and_every_dim() -> None:
