@@ -29,7 +29,7 @@ from .generate import (
     random_program,
     random_qc_instance,
 )
-from .geometry import rat
+from .geometry import parse_rat
 from .optimality import (
     check_necessary_qc,
     check_optimal_convex,
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _epsilon_of(args, payload) -> Fraction:
     if args.epsilon is not None:
         try:
-            return rat(Fraction(args.epsilon))
+            return parse_rat(args.epsilon)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"malformed --epsilon {args.epsilon!r}")
     if payload.get("epsilon") is not None:

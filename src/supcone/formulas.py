@@ -13,17 +13,11 @@ is formed directly from those rays; no hull is built.
 For polyhedral data the recession cone of s * d_{eps/s} f_t(x), and of the
 eps-normal set of an improper member's domain, is N_{dom f_t}(x) whatever s
 and eps are, so one ray collection serves both evaluation modes: the rays of
-N_{dom f_t}(x) for every member, and the rays through d_0 f_t(x) of the
-active members (the s -> infinity limit). Where N_{dom f_t}(x) is pointed its
-rays are read off the domain rows active at x (functions.normal_cone_rays);
-only a cone that contains a line takes them from a conversion of d_eps f_t(x)
-or of the eps-normal set. Those rays are eps-free too: they are the images of
-the extreme rays of the lifted DD cone on its face u_t = v_t = 0 (t the
-homogenizing coordinate), eps enters only t's column, so that face does not
-move with eps, and the pruning after it compares rays with rays only. The
-ray collection, and so the cone, is the same at every eps, and the
-intersection form over an eps-list forms it once. The modes differ only in
-what they check and report:
+N_{dom f_t}(x) for every member, read off the domain rows active at x
+(functions.normal_cone_rays), and the rays through d_0 f_t(x) of the active
+members (the s -> infinity limit). Neither takes eps, so the cone is the
+same at every eps, and the intersection form over an eps-list forms it once.
+The modes differ only in what they check and report:
 
 * exact-affine: every proper member must be one affine piece on the whole
   space; the result is exact by construction.
@@ -41,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import InputError, InternalCheckError, PreconditionError, RefusedError
+from .errors import InputError, InternalCheckError, PreconditionError, RefusedError, SizingError
 from .functions import (
     ExtendedFunction,
     ImproperFunction,
@@ -61,6 +55,7 @@ from .functions import (
 )
 from .geometry import (
     ConeGen,
+    DEFAULT_ROW_CAP,
     HalfSpace,
     NEG_INF,
     POS_INF,
@@ -184,22 +179,30 @@ class SGrid:
 
     @staticmethod
     def geometric(base: int = 2, min_exp: int = -10, max_exp: int = 10) -> "SGrid":
+        """base^k for min_exp <= k <= max_exp. The values take about
+        bit_length(base) * sum|k| bits; past DEFAULT_ROW_CAP the grid is
+        refused before any power is formed."""
         if base < 2 or min_exp > max_exp:
             raise InputError("need base >= 2 and min_exp <= max_exp")
+
+        def tri(n: int) -> int:
+            return n * (n + 1) // 2
+
+        abs_sum = (
+            tri(max(max_exp, 0)) - tri(max(min_exp - 1, 0))
+            + tri(max(-min_exp, 0)) - tri(max(-max_exp - 1, 0))
+        )
+        bits = base.bit_length() * abs_sum
+        if bits > DEFAULT_ROW_CAP:
+            raise SizingError(
+                f"grid {base}:{min_exp}:{max_exp} needs about {bits} bits, "
+                f"more than the cap {DEFAULT_ROW_CAP}"
+            )
         return SGrid(tuple(Fraction(base) ** k for k in range(min_exp, max_exp + 1)))
 
     @staticmethod
     def from_values(values: Iterable) -> "SGrid":
         return SGrid(tuple(sorted({rat(v) for v in values})))
-
-    def refined(self) -> "SGrid":
-        """Strict superset: endpoint widening plus consecutive midpoints."""
-        vals = set(self.values)
-        vals.add(self.values[0] / 2)
-        vals.add(self.values[-1] * 2)
-        for a, b in zip(self.values, self.values[1:]):
-            vals.add((a + b) / 2)
-        return SGrid(tuple(sorted(vals)))
 
 
 DEFAULT_GRID = SGrid.geometric()
@@ -236,40 +239,22 @@ def _is_plain_affine(f: Member) -> bool:
     )
 
 
-def _subdifferential_rays(f: PolyhedralFunction, x: Vec, e: Fraction) -> tuple[Vec, ...]:
-    """Rays of d_e f(x), the extreme rays of N_{dom f}(x): none on the whole
-    space (checked first, it is the common case), else read off the domain
-    rows active at x, and from the conversion of d_e f(x) only when that
-    cone has a line."""
-    if not f.domain.halfspaces:
-        return ()
-    rays = normal_cone_rays(f.domain, x)
-    return eps_subdifferential(f, x, e).rays if rays is None else rays
+def _sublevel_rays(family: SupFamily, x: Vec) -> list[Vec]:
+    """Rays of every contribution to A_eps union B_eps, at any eps; their
+    cone is N_[f<=0](x).
 
-
-def _normal_set_rays(domain: PolyhedronH, x: Vec, e: Fraction) -> tuple[Vec, ...]:
-    """Rays of N^e_D(x), taken like those of _subdifferential_rays."""
-    rays = normal_cone_rays(domain, x)
-    return eps_normal_set(domain, x, e).rays if rays is None else rays
-
-
-def _sublevel_rays(family: SupFamily, x: Vec, e: Fraction) -> list[Vec]:
-    """Rays of every contribution to A_e union B_e; their cone is N_[f<=0](x).
-
-    Every member adds the rays of N_{dom f}(x), read off its active domain
-    rows when that cone is pointed (_subdifferential_rays, _normal_set_rays).
-    An active member adds the rays through d_0 f(x), which is {a} for a plain
-    affine member. Those rays are pruned per member: for a non-pointed cone
-    the generators cone() keeps depend on the set it is given.
+    Every member adds the rays of N_{dom f}(x): none on the whole space
+    (checked first, it is the common case). An active proper member adds the
+    rays through d_0 f(x), which is {a} for a plain affine member. Those
+    rays are pruned per member: for a non-pointed cone the generators cone()
+    keeps depend on the set it is given.
     """
     dim = family.dim
     rays: list[Vec] = []
     for _, f in family.members:
-        if isinstance(f, ImproperFunction):
-            rays.extend(_normal_set_rays(f.domain, x, e))
-            continue
-        rays.extend(_subdifferential_rays(f, x, e))
-        if evaluate(f, x) == 0:
+        if f.domain.halfspaces:
+            rays.extend(normal_cone_rays(f.domain, x))
+        if isinstance(f, PolyhedralFunction) and evaluate(f, x) == 0:
             if _is_plain_affine(f):
                 dirs = [f.pieces[0].slope]
             else:
@@ -345,7 +330,7 @@ def sublevel_normal_cone_formula(
     cone with the oracle's; exact is that comparison.
     """
     e, x, mode = _check_sublevel_input(family, x, eps, mode)
-    coneg = cone(family.dim, _sublevel_rays(family, x, e))
+    coneg = cone(family.dim, _sublevel_rays(family, x))
     return _sublevel_result(family, x, coneg, e, mode, grid, certify)
 
 
@@ -381,22 +366,13 @@ def sublevel_normal_cone_intersection(
     if len(set(eps_vals)) != len(eps_vals):
         raise InputError("eps values must be distinct")
     e, x, mode = _check_sublevel_input(family, x, eps_vals[0], mode)
-    coneg = cone(family.dim, _sublevel_rays(family, x, e))
+    coneg = cone(family.dim, _sublevel_rays(family, x))
     per_eps = tuple(
         _sublevel_result(family, x, coneg, _positive_eps(v), mode, grid, False) for v in eps_vals
     )
     if not is_pointed(family.dim, coneg.rays):
         coneg = inequality_cone(cone_rays(coneg.rays, family.dim), family.dim)
     return IntersectionResult(coneg, per_eps, len(eps_vals) > 1)
-
-
-def singleton_sublevel_normal_cone(
-    f: Member, x: Vec, eps, grid: SGrid | None = None, mode: str = "auto"
-) -> FormulaResult:
-    """One-member corollary: N_[f<=0](x) from the scaled subdifferentials of
-    the single function."""
-    fam = SupFamily(f.dim, (("f", f),))
-    return sublevel_normal_cone_formula(fam, x, eps, grid=grid, mode=mode)
 
 
 def strict_sublevel_normal_cone(
@@ -435,7 +411,10 @@ def dom_sup_normal_cone(
     improper member the eps-normal set of its domain; the cone is the
     recession of the hull of all contributions. Weights must dominate the
     reach weights; alpha=None uses them directly, alpha="ones" uses 1 for
-    every member (valid since reach weights never exceed 1).
+    every member (valid since reach weights never exceed 1). Every
+    contribution has recession cone N_{dom f_t}(x) whatever its weight, so
+    the weights are checked but do not move the cone: it is formed from the
+    rays of N_{dom f_t}(x), none for a member on the whole space.
     """
     e, x, _ = _checked_point(family, x, eps, "x is outside dom(sup f_t)")
     weights = reach_weights(family, x, e)
@@ -455,11 +434,8 @@ def dom_sup_normal_cone(
                 f"alpha[{ident!r}] = {chosen[ident]} is below the reach weight {w}"
             )
     rays = [
-        r for ident, f in family.proper_items()
-        for r in _subdifferential_rays(f, x, e / chosen[ident])
+        r for _, f in family.members if f.domain.halfspaces for r in normal_cone_rays(f.domain, x)
     ]
-    for _, f in family.improper_items():
-        rays.extend(_normal_set_rays(f.domain, x, e))
     return FormulaResult(cone(family.dim, rays), e, "dom", True)
 
 
@@ -822,7 +798,7 @@ def qc_sublevel_normal_cone(
                 f"closure compatibility failed (witness {cc.witness}); "
                 "the intersection formula is not justified for this family"
             )
-    rays = [r for m in qc.members for r in _normal_set_rays(m.sublevel, x, e)]
+    rays = [r for m in qc.members for r in normal_cone_rays(m.sublevel, x)]
     return FormulaResult(cone(qc.dim, rays), e, "qc", True)
 
 

@@ -32,9 +32,11 @@ from .geometry import (
     PolyhedronH,
     Vec,
     cone,
+    cone_rays,
     dot,
     empty_generators,
     h_to_v,
+    inequality_cone,
     is_empty_poly,
     is_pointed,
     poly_contains_point,
@@ -151,27 +153,27 @@ def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
 @lru_cache(maxsize=CACHE_SIZE)
 def domain_generators(domain: PolyhedronH) -> GeneratorSet:
     """Generators of a domain. eps_normal_set reads them at every eps, and
-    the qc oracle reads its probe vertices here; the normal-cone formulas
-    need them only when N_D(x) contains a line (see normal_cone_rays)."""
+    the qc oracle reads its probe vertices here."""
     return h_to_v(domain)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...] | None:
-    """Extreme rays of N_D(x) = cone{a_i : <a_i, x> = b_i} for x in D, read
-    off the rows active at x; None when that cone contains a line.
+def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...]:
+    """Generators of N_D(x) = cone{a_i : <a_i, x> = b_i} for x in D, read
+    off the rows active at x.
 
     For polyhedral data N_D(x) is the recession cone of every eps-normal set
-    N^eps_D(x) and of every d_eps f(x) with dom f = D, eps > 0, so callers
-    that read only the rays of those sets take them from here and convert
-    the set itself only on None. The bytes are the same: when N_D(x) is
-    pointed (is_pointed: 0 is not in the convex hull of the active rows) the
-    converted set has no lines, its homogenized rows have full rank, and
-    h_to_v's rank test returns exactly its extreme rays, which for a pointed
-    cone are unique, primitive and lex-sorted, as cone(dim, active) returns
-    them. When N_D(x) contains a line its generating set is not unique, and
-    cone(dim, active) can differ from the conversion's rays, so those
-    callers must convert.
+    N^eps_D(x) and of every d_eps f(x) with dom f = D, eps > 0, so the
+    normal-cone formulas take the rays of those sets from here, and
+    tests/test_normal_cone_rays.py pins them to the conversions' rays.
+    When N_D(x) is pointed (is_pointed: 0 is not in the convex hull of the
+    active rows) the converted set has no lines, h_to_v's rank test returns
+    exactly its extreme rays, and a pointed cone's extreme rays are unique,
+    primitive and lex-sorted, as cone(dim, active) returns them. A cone
+    with a line has many generating sets; it is its own double polar
+    (Rockafellar, Convex Analysis, Thm. 14.1), and its generators are those
+    of the meet of its polar, inequality_cone(cone_rays(active)), the same
+    meet the intersection form takes for a cone with a line.
     """
     active = []
     for h in domain.halfspaces:
@@ -180,9 +182,9 @@ def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...]
             raise PreconditionError("x is outside the domain")
         if v == h.offset:
             active.append(h.normal)
-    if not is_pointed(domain.dim, active):
-        return None
-    return cone(domain.dim, active).rays
+    if is_pointed(domain.dim, active):
+        return cone(domain.dim, active).rays
+    return inequality_cone(cone_rays(active, domain.dim), domain.dim).rays
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -23,6 +23,15 @@ Vec = tuple[Fraction, ...]
 RationalLike = Union[Fraction, int, str]
 
 
+def parse_rat(text: str) -> Fraction:
+    """Fraction(text) for an integer, 'p/q' or decimal string. An exponent
+    raises ValueError, as a malformed string does: "1e999999999" is 11
+    bytes of a 3.3e9-bit integer."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent in rational {text!r}")
+    return Fraction(text)
+
+
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -31,7 +40,7 @@ def rat(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return parse_rat(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed rational {value!r}: {exc}") from None
     raise InputError(f"cannot interpret {value!r} as a rational")

@@ -3,8 +3,9 @@
 Every instance is one JSON object with a format_version, a kind, an id, and
 kind-specific payload. Parsing is strict: unknown fields, missing fields, or
 wrong types fail with the JSON path of the offending field. Rationals are
-written as integers or strings "p" / "p/q"; floats are rejected to keep the
-toolkit exact end to end.
+written as integers or strings "p", "p/q" or decimals "1.25"; floats and
+exponents ("1e3") are rejected to keep the toolkit exact end to end and
+the size of a value bounded by the size of its text.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .functions import (
     PolyhedralFunction,
     QuasiConvex1D,
 )
-from .geometry import HalfSpace, PolyhedronH, Vec, format_rat, polyhedron, whole_space
+from .geometry import HalfSpace, PolyhedronH, Vec, format_rat, parse_rat, polyhedron, whole_space
 from .optimality import (
     CircleSampler,
     LinearSIPInstance,
@@ -80,7 +81,7 @@ def _as_rat(v, path: str) -> Fraction:
         _fail(path, "floats are not accepted; write rationals as \"p/q\" strings")
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            return parse_rat(v)
         except (ValueError, ZeroDivisionError):
             _fail(path, f"malformed rational {v!r}")
     _fail(path, f"expected a rational, got {type(v).__name__}")
@@ -350,7 +351,7 @@ def parse_grid_spec(spec: str) -> SGrid:
             raise InputError(f"malformed grid spec {spec!r}")
         return SGrid.geometric(base, lo, hi)
     try:
-        values = [Fraction(tok) for tok in spec.split(",") if tok.strip()]
+        values = [parse_rat(tok) for tok in spec.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError):
         raise InputError(f"malformed grid spec {spec!r}")
     if not values:

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from supcone import reports
+from supcone import functions, reports
 from supcone.cli import main
-from supcone.errors import InputError
+from supcone.errors import InputError, SizingError
 from supcone.formulas import SupFamily, family_from_functions
 from supcone.functions import ImproperFunction, affine_function
 from supcone.geometry import halfspace, polyhedron
@@ -63,6 +63,8 @@ def test_parse_rational_spellings() -> None:
     inst["point"] = ["0", "0"]
     _, _, payload = parse_instance(inst)
     assert payload["epsilon"] == F(3, 4)
+    _, _, payload = parse_instance(corner_instance(epsilon="1.25"))
+    assert payload["epsilon"] == F(5, 4)
 
 
 def test_reject_unknown_top_level_field() -> None:
@@ -89,6 +91,13 @@ def test_reject_float_values() -> None:
 def test_reject_bad_rational_string() -> None:
     inst = corner_instance(epsilon="1/0")
     with pytest.raises(InputError, match=r"\$\.epsilon"):
+        parse_instance(inst)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1"])
+def test_reject_exponent_in_rational_string(text) -> None:
+    inst = corner_instance(epsilon=text)
+    with pytest.raises(InputError, match=r"\$\.epsilon: malformed rational"):
         parse_instance(inst)
 
 
@@ -170,6 +179,15 @@ def test_parse_grid_spec_forms() -> None:
     assert g2.values == (F(1, 2), F(1), F(2))
     with pytest.raises(InputError):
         parse_grid_spec("grid")
+    with pytest.raises(InputError, match="malformed grid spec"):
+        parse_grid_spec("1,1e3")
+
+
+def test_parse_grid_spec_refuses_an_oversized_geometric_grid() -> None:
+    # 2^-3000..2^3000 takes about 2 * 2 * (3000 * 3001 / 2) bits.
+    with pytest.raises(SizingError, match="grid 2:-3000:3000 needs about 18006000 bits"):
+        parse_grid_spec("2:-3000:3000")
+    assert len(parse_grid_spec("2:-700:700").values) == 1401
 
 
 # ------------------------------------------------------------------ reports
@@ -265,6 +283,22 @@ def test_cli_epsilon_required_somewhere(tmp_path, capsys) -> None:
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_cli_epsilon_flag_rejects_an_exponent(tmp_path, capsys) -> None:
+    path = write_inst(tmp_path, corner_instance())
+    code = main(["normal-cone", path, "--epsilon", "1e3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: malformed --epsilon '1e3'\n"
+
+
+def test_cli_oversized_s_grid_maps_to_exit_3(tmp_path, capsys) -> None:
+    path = write_inst(tmp_path, corner_instance())
+    code = main(["normal-cone", path, "--mode", "sampled", "--s-grid", "2:-3000:3000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("refused: grid 2:-3000:3000 needs about")
+
+
 def test_cli_missing_file_is_input_error(capsys) -> None:
     code = main(["normal-cone", "/no/such/file.json"])
     assert code == 2
@@ -346,14 +380,16 @@ def test_cli_refused_maps_to_exit_3(tmp_path, capsys) -> None:
 
 def test_cli_sizing_error_maps_to_exit_3(tmp_path, capsys, monkeypatch) -> None:
     # The improper member's domain is the line {y2 = 0}: N_D(x) contains a
-    # line, so its rays come from a double-description conversion of the
-    # eps-normal set, and a one-generator cap makes its first step overflow.
+    # line, so its rays are those of the meet of its polar, a double
+    # description conversion, and a one-generator cap makes its first step
+    # overflow. The cached rays of an earlier call would skip that step.
     from supcone.geometry import dd, sets
 
     def capped(rows, dim, cap=None):
         return dd.cone_rays(rows, dim, cap=1)
 
     monkeypatch.setattr(sets, "cone_rays", capped)
+    functions.normal_cone_rays.cache_clear()
     fam = SupFamily(
         2,
         (

@@ -22,7 +22,6 @@ from supcone.formulas import (
     inclusion_witness_check,
     qc_sublevel_normal_cone,
     reach_weights,
-    singleton_sublevel_normal_cone,
     strict_sublevel_normal_cone,
     sublevel_normal_cone_formula,
     sublevel_normal_cone_intersection,
@@ -156,13 +155,6 @@ def test_sampled_without_certification_leaves_flags_unset() -> None:
     assert not res.exact
 
 
-def test_singleton_wrapper_matches_family_route() -> None:
-    f = aff((2, 1), 0)
-    a = singleton_sublevel_normal_cone(f, vec((0, 0)), 1)
-    b = sublevel_normal_cone_formula(family_from_functions([f]), vec((0, 0)), 1)
-    assert cone_equal(a.cone, b.cone)
-
-
 # ------------------------------------------------------------ grid handling
 
 
@@ -180,13 +172,6 @@ def test_grid_validation() -> None:
 def test_grid_from_values_sorts_and_dedupes() -> None:
     g = SGrid.from_values(["1/2", 2, "1/2", 1])
     assert g.values == (F(1, 2), F(1), F(2))
-
-
-def test_grid_refined_is_strict_superset() -> None:
-    g = SGrid.from_values([1, 2])
-    r = g.refined()
-    assert set(g.values) < set(r.values)
-    assert F(1, 2) in r.values and F(3, 2) in r.values and F(4) in r.values
 
 
 # -------------------------------------------------------- intersection form

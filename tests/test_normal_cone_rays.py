@@ -1,19 +1,20 @@
 """The rays of N_D(x) read off the active rows, against the conversions.
 
 The normal-cone formulas read only the rays of d_eps f(x) and of the
-eps-normal set N^eps_D(x). ``formulas._subdifferential_rays`` and
-``formulas._normal_set_rays`` take them from ``functions.normal_cone_rays``
-when N_D(x) is pointed and convert the set only when that cone contains a
-line. Both must return exactly the rays of the conversion,
+eps-normal set N^eps_D(x), and take them from
+``functions.normal_cone_rays(D, x)``, which takes no eps: the extreme rays
+of the active rows when N_D(x) is pointed, and the meet of its polar when it
+contains a line. It must return exactly the rays of the conversion,
 ``eps_subdifferential(f, x, eps).rays`` or ``eps_normal_set(D, x, eps).rays``,
-at every eps: the generators reach the reports. Those rays must also be
-the same at every eps, which lets the intersection form collect them once.
+at every eps: the generators reach the reports. So the conversion's rays
+are the same at every eps, which lets the intersection form collect them
+once.
 
 The seeded (member, x) pairs span dims 1 to 5: the members of the
 criterion-02, -03 and -04 families at their anchors, random anchored
 domains, and domains with equality pairs and other rows whose active cone
-contains a line, which take the fallback. Points lie on the boundary (the
-vertices), in the relative interior and on the whole space.
+contains a line. Points lie on the boundary (the vertices), in the relative
+interior and on the whole space.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from random import Random
 import pytest
 
 from supcone.errors import PreconditionError
-from supcone.formulas import _normal_set_rays, _subdifferential_rays
 from supcone.functions import (
     PolyhedralFunction,
     domain_generators,
@@ -41,7 +41,16 @@ from supcone.generate import (
     random_point,
     random_polyhedron,
 )
-from supcone.geometry import HalfSpace, dot, halfspace, polyhedron, vadd, vscale, whole_space
+from supcone.geometry import (
+    HalfSpace,
+    dot,
+    halfspace,
+    is_pointed,
+    polyhedron,
+    vadd,
+    vscale,
+    whole_space,
+)
 
 F = Fraction
 
@@ -141,37 +150,46 @@ def source_cases(source: str) -> list:
 SOURCES = ("criterion-02", "criterion-03", "criterion-04", "anchored", "equality", "whole-space")
 
 
-def rays_pair(member, x, e):
-    """(helper path, conversion) rays of one member at x and eps."""
+def conversion_rays(member, x, e):
+    """The rays of d_e f(x) for a proper member, of N^e_D(x) for a domain."""
     if isinstance(member, PolyhedralFunction):
-        return _subdifferential_rays(member, x, e), eps_subdifferential(member, x, e).rays
-    return _normal_set_rays(member, x, e), eps_normal_set(member, x, e).rays
+        return eps_subdifferential(member, x, e).rays
+    return eps_normal_set(member, x, e).rays
+
+
+def domain_of(member):
+    return member.domain if isinstance(member, PolyhedralFunction) else member
 
 
 @pytest.mark.parametrize("source", SOURCES)
 def test_rays_match_the_conversion(source) -> None:
-    """Also the premise of the intersection form's single ray collection:
-    the conversion's rays are the same at every eps."""
     for member, x in source_cases(source):
-        wants = set()
+        got = normal_cone_rays(domain_of(member), x)
         for e in EPS:
-            got, want = rays_pair(member, x, e)
-            assert got == want, (member, x, e)
-            wants.add(want)
-        assert len(wants) == 1, (member, x)
+            assert got == conversion_rays(member, x, e), (member, x, e)
+
+
+def has_line(domain, x) -> bool:
+    """Does N_D(x), the cone of the rows active at x, contain a line?"""
+    active = [h.normal for h in domain.halfspaces if dot(h.normal, x) == h.offset]
+    return not is_pointed(domain.dim, active)
 
 
 def test_cases_cover_the_fallback_and_every_dim() -> None:
+    """Both branches of normal_cone_rays in every dim: the pointed one and
+    the one for a cone with a line."""
     cases = [c for source in SOURCES for c in source_cases(source)]
-    domains = [m.domain if isinstance(m, PolyhedralFunction) else m for m, _ in cases]
+    domains = [domain_of(m) for m, _ in cases]
+    lines = [has_line(d, x) for d, (_, x) in zip(domains, cases)]
     rays = [normal_cone_rays(d, x) for d, (_, x) in zip(domains, cases)]
     assert len(cases) >= 1000
-    assert sum(r is None for r in rays) >= 100
-    assert sum(bool(r) for r in rays) >= 100  # pointed, with active rows
+    assert sum(lines) >= 100
+    # pointed, with active rows
+    assert sum(bool(r) and not line for r, line in zip(rays, lines)) >= 100
     assert sum(r == () and d.halfspaces != () for r, d in zip(rays, domains)) >= 100
     assert sum(isinstance(m, PolyhedralFunction) for m, _ in cases) >= 300
     assert {d.dim for d in domains} == {1, 2, 3, 4, 5}
-    line_dims = {d.dim for d, r in zip(domains, rays) if r is None}
+    line_dims = {d.dim for d, line in zip(domains, lines) if line}
     assert line_dims == {1, 2, 3, 4, 5}
 
 
@@ -183,7 +201,7 @@ def test_normal_cone_rays_reads_the_active_rows() -> None:
     assert normal_cone_rays(quadrant, (F(-1), F(-1))) == ()
     assert normal_cone_rays(whole_space(2), origin) == ()
     line = polyhedron(2, [halfspace((0, 1), 0), halfspace((0, -1), 0)])
-    assert normal_cone_rays(line, origin) is None
+    assert normal_cone_rays(line, origin) == ((0, -1), (0, 1))
     with pytest.raises(PreconditionError):
         normal_cone_rays(quadrant, (F(1), F(0)))
 

@@ -357,8 +357,12 @@ def test_grid_refinement_never_shrinks_cone(seed: int) -> None:
     rng = random.Random(seed)
     g = random_max_affine_family(rng)
     coarse = SGrid.geometric(min_exp=-2, max_exp=2)
+    vals = coarse.values
+    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    fine = SGrid.from_values([*vals, vals[0] / 2, vals[-1] * 2, *mids])
+    assert set(vals) < set(fine.values)
     lo = sublevel_normal_cone_formula(g.family, g.point, g.epsilon, grid=coarse, mode="sampled")
-    hi = sublevel_normal_cone_formula(g.family, g.point, g.epsilon, grid=coarse.refined(), mode="sampled")
+    hi = sublevel_normal_cone_formula(g.family, g.point, g.epsilon, grid=fine, mode="sampled")
     for r in lo.cone.rays:
         assert cone_contains(hi.cone, r)
 

@@ -148,7 +148,7 @@ def has_line(domain, x) -> bool:
 
 
 # A max-affine member on the line {y2 = 0}, active at the origin, beside a
-# plain affine member: its rays come from a conversion of d_eps f(x).
+# plain affine member: N_dom(x) contains a line.
 LINE = polyhedron(2, [halfspace((0, 1), 0), halfspace((0, -1), 0)])
 LINE_FAMILY = SupFamily(
     2,
@@ -162,9 +162,8 @@ ORIGIN = (F(0), F(0))
 
 @pytest.mark.parametrize("grid", [SGrid.from_values([1]), SGrid.geometric(min_exp=-2, max_exp=2), DEFAULT_GRID])
 def test_sampled_mode_takes_at_most_two_eps_subdifferentials_per_member(monkeypatch, grid) -> None:
-    # One d_0 f(x) per active member that is not plain affine, and one
-    # d_eps f(x) per member whose N_dom(x) contains a line; the other rays
-    # are read off the active domain rows.
+    # One d_0 f(x) per active member that is not plain affine; the rays of
+    # N_dom(x) are read off the active domain rows, with a line or without.
     calls = count_calls(monkeypatch, functions.eps_subdifferential)
     cases = [random_max_affine_family(random.Random(seed)) for seed in range(3000, 3004)]
     cases = [(g.family, g.point, g.epsilon) for g in cases] + [(LINE_FAMILY, ORIGIN, F(1))]
@@ -172,16 +171,15 @@ def test_sampled_mode_takes_at_most_two_eps_subdifferentials_per_member(monkeypa
     for family, x, e in cases:
         calls.clear()
         sublevel_normal_cone_formula(family, x, e, grid=grid, mode="sampled")
-        want = []
-        for _, f in family.proper_items():
-            if has_line(f.domain, x):
-                want.append((f, e))
-            if evaluate(f, x) == 0 and not _is_plain_affine(f):
-                want.append((f, 0))
+        want = [
+            (f, 0)
+            for _, f in family.proper_items()
+            if evaluate(f, x) == 0 and not _is_plain_affine(f)
+        ]
         assert [(args[0], args[2]) for args, _ in calls] == want
         assert len(calls) <= 2 * len(family.proper_items())
         counts.append(len(calls))
-    assert counts == [1, 3, 1, 0, 2]
+    assert counts == [1, 3, 1, 0, 1]
 
 
 def test_plain_affine_members_take_no_eps_subdifferential(monkeypatch) -> None:
@@ -194,35 +192,36 @@ def test_plain_affine_members_take_no_eps_subdifferential(monkeypatch) -> None:
 
 
 def test_dom_cone_converts_only_members_with_domain_rows(monkeypatch) -> None:
-    # Of the members with domain rows, only those whose N_dom(x) contains a
-    # line are converted.
+    # No member is converted: the rays of N_dom(x) are read off the active
+    # domain rows, with a line (LINE_FAMILY) or without.
     calls = count_calls(monkeypatch, functions.eps_subdifferential)
     cases = [random_dom_family(random.Random(seed)) for seed in range(4000, 4010)]
     cases = [(g.family, g.point, g.epsilon, g.alpha) for g in cases]
     cases.append((LINE_FAMILY, ORIGIN, F(1), None))
-    skipped = converted = 0
+    skipped = converted = lines = 0
     for family, x, e, alpha in cases:
         calls.clear()
         dom_sup_normal_cone(family, x, e, alpha)
         proper = [f for _, f in family.proper_items()]
-        lines = [f for f in proper if has_line(f.domain, x)]
-        assert [args[0] for args, _ in calls] == lines
-        skipped += sum(1 for f in proper if f.domain.halfspaces and f not in lines)
-        converted += len(lines)
+        skipped += sum(1 for f in proper if f.domain.halfspaces)
+        lines += sum(1 for f in proper if has_line(f.domain, x))
+        converted += len(calls)
     assert skipped > 0
-    assert converted == 1
+    assert lines == 1
+    assert converted == 0
 
 
 def test_intersection_converts_each_domain_once_per_eps_list(monkeypatch) -> None:
-    # The pointed {y1 <= 0} is read off its active row and never converted;
-    # the line {y1 = 0} is converted once for the whole eps-list.
+    # Neither domain is converted: the pointed {y1 <= 0} and the line
+    # {y1 = 0} are both read off their active rows.
     calls = count_calls(monkeypatch, h_to_v)
     pointed = polyhedron(2, [halfspace((1, 0), 0)])
     line = polyhedron(2, [halfspace((1, 0), 0), halfspace((-1, 0), 0)])
-    for dom, conversions in ((pointed, 0), (line, 1)):
+    for dom in (pointed, line):
         fam = SupFamily(2, (("a", affine_function((0, 1), 0)), ("imp", ImproperFunction(2, dom))))
         functions.domain_generators.cache_clear()
+        functions.normal_cone_rays.cache_clear()
         calls.clear()
         res = sublevel_normal_cone_intersection(fam, ORIGIN, (F(1), F(1, 2), F(1, 4)))
         assert res.stabilized
-        assert sum(1 for args, _ in calls if args[0] == dom) == conversions
+        assert sum(1 for args, _ in calls if args[0] == dom) == 0

@@ -114,8 +114,8 @@ def test_cli_no_verify_skips_oracle(tmp_path, monkeypatch, command, source, flag
 
 
 def test_cli_qc_converts_each_member_sublevel_once(tmp_path, monkeypatch):
-    # Loading the instance checks each declared sublevel at its vertices, and
-    # the formula reads the same vertices for its eps-normal sets.
+    # Loading the instance checks each declared sublevel at its vertices; the
+    # formula reads only the rows active at the point and converts nothing.
     path = gen_file(tmp_path, "qc")
     sublevels = [m.sublevel for m in load_instance(path)[2]["qc"].members]
     functions.domain_generators.cache_clear()
