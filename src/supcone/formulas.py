@@ -15,8 +15,13 @@ eps-normal set of an improper member's domain, is N_{dom f_t}(x) whatever s
 and eps are, so one ray collection serves both evaluation modes: the rays of
 N_{dom f_t}(x) for every member, read off the domain rows active at x
 (functions.normal_cone_rays), and the rays through d_0 f_t(x) of the active
-members (the s -> infinity limit). Neither takes eps, so the cone is the
-same at every eps, and the intersection form over an eps-list forms it once.
+members (the s -> infinity limit). d_0 f_t(x) = conv{slopes of the pieces
+active at x} + N_{dom f_t}(x) (Rockafellar, Convex Analysis, Thm. 23.8), so
+those rays are read off the active pieces as well, unless their cone
+contains a line: such a cone has many minimal generating sets, and the one
+reported stays the conversion's. Neither collection takes eps, so the cone
+is the same at every eps, and the intersection form over an eps-list forms
+it once.
 The modes differ only in what they check and report:
 
 * exact-affine: every proper member must be one affine piece on the whole
@@ -66,7 +71,6 @@ from .geometry import (
     cone_rays,
     dot,
     format_rat,
-    generators,
     inequality_cone,
     intersect,
     is_empty_poly,
@@ -245,22 +249,27 @@ def _sublevel_rays(family: SupFamily, x: Vec) -> list[Vec]:
 
     Every member adds the rays of N_{dom f}(x): none on the whole space
     (checked first, it is the common case). An active proper member adds the
-    rays through d_0 f(x), which is {a} for a plain affine member. Those
-    rays are pruned per member: for a non-pointed cone the generators cone()
-    keeps depend on the set it is given.
+    rays through d_0 f(x) = conv{slopes of the pieces active at x} + N_D(x)
+    (Rockafellar, Convex Analysis, Thm. 23.8), pruned per member. Their cone
+    is that of the nonzero active slopes and the rays of N_D(x). A pointed
+    cone has one minimal generating set, its extreme rays, and cone() keeps
+    exactly those whether it is given these directions or the converted
+    d_0 f(x); one direction (a plain affine member) needs no pointedness LP.
+    A cone with a line has many, and the generators cone() keeps depend on
+    the set it is given, so that case still converts d_0 f(x).
     """
     dim = family.dim
     rays: list[Vec] = []
     for _, f in family.members:
-        if f.domain.halfspaces:
-            rays.extend(normal_cone_rays(f.domain, x))
+        dom_rays = normal_cone_rays(f.domain, x) if f.domain.halfspaces else ()
+        rays.extend(dom_rays)
         if isinstance(f, PolyhedralFunction) and evaluate(f, x) == 0:
-            if _is_plain_affine(f):
-                dirs = [f.pieces[0].slope]
-            else:
+            dirs = [p.slope for p in f.pieces if p.value(x) == 0 and any(p.slope)]
+            dirs.extend(dom_rays)
+            if len(dirs) > 1 and not is_pointed(dim, dirs):
                 sub0 = eps_subdifferential(f, x, 0)
                 dirs = list(sub0.points) + list(sub0.rays)
-            rays.extend(generators(dim, [zero_vec(dim)], dirs).rays)
+            rays.extend(cone(dim, dirs).rays)
     return rays
 
 

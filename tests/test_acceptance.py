@@ -68,7 +68,13 @@ from supcone.optimality import (
     minimize_objective,
     verify_certificate,
 )
-from supcone.oracle import EQUAL, VIOLATION, verify_formula_instance
+from supcone.oracle import (
+    EQUAL,
+    VIOLATION,
+    polyhedron_normal_cone,
+    sup_sublevel_polyhedron,
+    verify_formula_instance,
+)
 from supcone.reports import render
 from supcone.suites import (
     closure_gallery,
@@ -134,17 +140,21 @@ def test_criterion_02_max_affine_soundness_and_stabilization() -> None:
 
 def test_criterion_03_eps_list_intersection_consistency() -> None:
     # the intersection-over-eps form must reproduce the per-eps recession
-    # cone on the affine suite, for eps lists {1,1/2,1/4} and {1/3,1/9}
+    # cone and the independent oracle's cone on the affine suite, for eps
+    # lists {1,1/2,1/4} and {1/3,1/9}
     failures = []
     for i in range(200):
         g = random_affine_family(random.Random(1000 + i))
         single = sublevel_normal_cone_formula(g.family, g.point, F(1), mode="exact-affine")
+        target = polyhedron_normal_cone(sup_sublevel_polyhedron(g.family.functions()), g.point)
         for eps_list in ((F(1), F(1, 2), F(1, 4)), (F(1, 3), F(1, 9))):
             res = sublevel_normal_cone_intersection(
                 g.family, g.point, eps_list, mode="exact-affine"
             )
             if not cone_equal(res.cone, single.cone):
                 failures.append((i, eps_list))
+            if not cone_equal(res.cone, target):
+                failures.append((i, eps_list, "differs from the oracle"))
             if not res.stabilized:
                 failures.append((i, eps_list, "not stabilized"))
     gate(3, failures, "intersection form matches per-eps cone on 200 instances x 2 eps lists")

@@ -18,7 +18,6 @@ from supcone.formulas import (
     DEFAULT_GRID,
     SGrid,
     SupFamily,
-    _is_plain_affine,
     dom_sup_normal_cone,
     sublevel_normal_cone_formula,
     sublevel_normal_cone_intersection,
@@ -52,6 +51,7 @@ from supcone.geometry import (
 )
 from supcone.suites import curated_sampled_instances
 from test_single_evaluation import count_calls
+from test_subdifferential_rays import cone_has_line
 
 F = Fraction
 
@@ -160,26 +160,30 @@ LINE_FAMILY = SupFamily(
 ORIGIN = (F(0), F(0))
 
 
+def d0_has_line(f, x) -> bool:
+    sub0 = eps_subdifferential(f, x, 0)
+    return cone_has_line(f.dim, sub0.points + sub0.rays)
+
+
 @pytest.mark.parametrize("grid", [SGrid.from_values([1]), SGrid.geometric(min_exp=-2, max_exp=2), DEFAULT_GRID])
-def test_sampled_mode_takes_at_most_two_eps_subdifferentials_per_member(monkeypatch, grid) -> None:
-    # One d_0 f(x) per active member that is not plain affine; the rays of
-    # N_dom(x) are read off the active domain rows, with a line or without.
-    calls = count_calls(monkeypatch, functions.eps_subdifferential)
+def test_sampled_mode_converts_d0_only_when_its_cone_has_a_line(monkeypatch, grid) -> None:
+    # The rays through d_0 f(x) of an active member are read off its active
+    # pieces and N_dom(x); d_0 f(x) is converted only when their cone holds
+    # a line, as for LINE_FAMILY's member on the line {y2 = 0}.
     cases = [random_max_affine_family(random.Random(seed)) for seed in range(3000, 3004)]
     cases = [(g.family, g.point, g.epsilon) for g in cases] + [(LINE_FAMILY, ORIGIN, F(1))]
+    wants = [
+        [(f, 0) for _, f in family.proper_items() if evaluate(f, x) == 0 and d0_has_line(f, x)]
+        for family, x, _ in cases
+    ]
+    calls = count_calls(monkeypatch, functions.eps_subdifferential)
     counts = []
-    for family, x, e in cases:
+    for (family, x, e), want in zip(cases, wants):
         calls.clear()
         sublevel_normal_cone_formula(family, x, e, grid=grid, mode="sampled")
-        want = [
-            (f, 0)
-            for _, f in family.proper_items()
-            if evaluate(f, x) == 0 and not _is_plain_affine(f)
-        ]
         assert [(args[0], args[2]) for args, _ in calls] == want
-        assert len(calls) <= 2 * len(family.proper_items())
         counts.append(len(calls))
-    assert counts == [1, 3, 1, 0, 1]
+    assert counts == [0, 0, 0, 0, 1]
 
 
 def test_plain_affine_members_take_no_eps_subdifferential(monkeypatch) -> None:
