@@ -42,6 +42,7 @@ from .functions import (  # noqa: F401
     eps_normal_set,
     eps_subdifferential,
     evaluate,
+    exact_subdifferential,
     indicator,
     max_affine,
     sublevel_set,

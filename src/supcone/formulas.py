@@ -19,7 +19,8 @@ members (the s -> infinity limit). d_0 f_t(x) = conv{slopes of the pieces
 active at x} + N_{dom f_t}(x) (Rockafellar, Convex Analysis, Thm. 23.8), so
 those rays are read off the active pieces as well, unless their cone
 contains a line: such a cone has many minimal generating sets, and the one
-reported stays the conversion's. Neither collection takes eps, so the cone
+reported is pruned from the generators of d_0 f_t(x) itself
+(functions.exact_subdifferential). Neither collection takes eps, so the cone
 is the same at every eps, and the intersection form over an eps-list forms
 it once.
 The modes differ only in what they check and report:
@@ -50,8 +51,8 @@ from .functions import (
     _interval_difference_point,
     domain_generators,
     eps_normal_set,
-    eps_subdifferential,
     evaluate,
+    exact_subdifferential,
     interval_equal,
     normal_cone_rays,
     qc1d_closed_hull,
@@ -256,7 +257,8 @@ def _sublevel_rays(family: SupFamily, x: Vec) -> list[Vec]:
     exactly those whether it is given these directions or the converted
     d_0 f(x); one direction (a plain affine member) needs no pointedness LP.
     A cone with a line has many, and the generators cone() keeps depend on
-    the set it is given, so that case still converts d_0 f(x).
+    the set it is given, so that case prunes the generators of d_0 f(x)
+    itself (functions.exact_subdifferential).
     """
     dim = family.dim
     rays: list[Vec] = []
@@ -267,7 +269,7 @@ def _sublevel_rays(family: SupFamily, x: Vec) -> list[Vec]:
             dirs = [p.slope for p in f.pieces if p.value(x) == 0 and any(p.slope)]
             dirs.extend(dom_rays)
             if len(dirs) > 1 and not is_pointed(dim, dirs):
-                sub0 = eps_subdifferential(f, x, 0)
+                sub0 = exact_subdifferential(f, x)
                 dirs = list(sub0.points) + list(sub0.rays)
             rays.extend(cone(dim, dirs).rays)
     return rays
@@ -881,7 +883,7 @@ def _subdifferential_parts(f, y: Vec):
     """(conv part, ray part) of d_0 f(y); None when y is outside dom f."""
     if isinstance(f, SmoothQCMember):
         return [f.gradient(y)], []
-    sub = eps_subdifferential(f, y, 0)
+    sub = exact_subdifferential(f, y)
     if sub.is_empty:
         return None
     return list(sub.points), list(sub.rays)
@@ -1022,15 +1024,14 @@ def inclusion_witness_check(
         parts = _subdifferential_parts(f, y)
         if parts is not None:
             candidates.append((y, parts[0], parts[1]))
+    x_parts = _subdifferential_parts(f, x)
+    u0 = x_parts[0][0] if x_parts and x_parts[0] else zero_vec(len(x))
     witnesses: list[InclusionWitness] = []
     unresolved: list[Vec] = []
     for g in gens:
         found = None
         if max((abs(c) for c in g), default=Fraction(0)) <= rho:
-            y0 = x
-            parts = _subdifferential_parts(f, x)
-            u0 = parts[0][0] if parts and parts[0] else zero_vec(len(x))
-            found = InclusionWitness(g, y0, Fraction(0), u0, g, Fraction(0))
+            found = InclusionWitness(g, x, Fraction(0), u0, g, Fraction(0))
         else:
             for y, conv_part, ray_part in candidates:
                 hit = _cone_witness_lp(g, conv_part, ray_part, rho)

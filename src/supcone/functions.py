@@ -3,14 +3,21 @@
 A PolyhedralFunction is a finite max of affine pieces restricted to a
 polyhedral domain (+inf outside); it is lower semicontinuous by construction
 and proper exactly when its domain is nonempty. An ImproperFunction is -inf
-on a nonempty polyhedral domain and +inf elsewhere. Epsilon-subdifferentials
-and epsilon-normal sets are computed exactly through the epigraph:
+on a nonempty polyhedral domain and +inf elsewhere.
+
+The exact subdifferential d_0 f(x), which the normal-cone formulas and the
+optimality checkers read, comes from exact_subdifferential: the slopes of
+the pieces attaining f(x) plus the rows of dom f active at x. Only when
+N_{dom f}(x) contains a line does it fall back to the epigraph conversion
+that eps_subdifferential runs for every eps:
 
     g in d_eps f(x)  iff  f*(g) <= <g, x> - f(x) + eps,
 
 and f* is the support function of the epigraph evaluated at (g, -1), so the
 finitely many epigraph generators turn the condition into finitely many
-linear constraints on g.
+linear constraints on g. Epsilon-normal sets are computed the same way from
+the generators of the domain. Within the package, eps_subdifferential and
+epigraph_generators are called from this module only.
 
 QuasiConvex1D models piecewise-affine quasi-convex profiles on the line with
 possibly +inf breakpoint values (non-lsc jumps); it feeds the closure
@@ -35,6 +42,7 @@ from .geometry import (
     cone_rays,
     dot,
     empty_generators,
+    generators,
     h_to_v,
     inequality_cone,
     is_empty_poly,
@@ -217,6 +225,30 @@ def eps_subdifferential(f: PolyhedralFunction, x: Vec, eps) -> GeneratorSet:
     if len(x) != f.dim:
         raise InputError("point dimension mismatch")
     return _eps_subdifferential_cached(f, tuple(x), e)
+
+
+def exact_subdifferential(f: PolyhedralFunction, x: Vec) -> GeneratorSet:
+    """d_0 f(x) = conv{slopes of the pieces attaining f(x)} + N_D(x) for x in
+    D = dom f (Rockafellar, Convex Analysis, Thm. 23.8); empty off dom f.
+
+    When N_D(x) is pointed the set holds no line, and its unique minimal
+    V-representation (vertices among the slopes, extreme rays of N_D(x)) is
+    what generators(..., minimal=True) keeps from these generators: the same
+    canonical GeneratorSet that h_to_v's rank test returns from the
+    conversion. When N_D(x) contains a line the minimal generating sets are
+    not unique, and the reported one stays eps_subdifferential(f, x, 0)'s.
+    """
+    if len(x) != f.dim:
+        raise InputError("point dimension mismatch")
+    x = tuple(x)
+    fx = evaluate(f, x)
+    if fx == POS_INF:
+        return empty_generators(f.dim)
+    rays = normal_cone_rays(f.domain, x) if f.domain.halfspaces else ()
+    if len(rays) > 1 and not is_pointed(f.dim, rays):
+        return eps_subdifferential(f, x, 0)
+    slopes = [p.slope for p in f.pieces if p.value(x) == fx]
+    return generators(f.dim, slopes, rays)
 
 
 def eps_normal_set(domain: PolyhedronH, x: Vec, eps) -> GeneratorSet:

@@ -3,10 +3,11 @@
 Convex programs: minimize f0 over [sup_t f_t <= 0]. With a validated
 qualification (objective continuous at a feasible point, or a strictly
 feasible point in dom f0), x is optimal iff theta lies in
-d f0(x) + N_[f<=0](x); the normal cone comes from the sublevel formula and
-membership is one exact LP whose multipliers become a re-verifiable
-certificate. Linear semi-infinite programs get the classical active-cone
-test, run on nested finite samplings with an exact residual per level.
+d f0(x) + N_[f<=0](x); d f0(x) comes from functions.exact_subdifferential,
+the normal cone from the sublevel formula, and membership is one exact LP
+whose multipliers become a re-verifiable certificate. Linear semi-infinite
+programs get the classical active-cone test, run on nested finite
+samplings with an exact residual per level.
 Quasi-convex programs get the necessary condition theta in
 d f0(x) + N from the eps-normal intersection formula.
 """
@@ -30,7 +31,7 @@ from .formulas import (
 )
 from .functions import (
     PolyhedralFunction,
-    eps_subdifferential,
+    exact_subdifferential,
     evaluate,
 )
 from .geometry import (
@@ -126,7 +127,7 @@ def verify_certificate(prog: ProgramInstance, cert: Certificate) -> bool:
         return False
     if vadd(g0, q) != zero_vec(d):
         return False
-    sub0 = eps_subdifferential(prog.objective, x, 0)
+    sub0 = exact_subdifferential(prog.objective, x)
     return generator_member(sub0, g0) is not None
 
 
@@ -233,7 +234,7 @@ def check_optimal_convex(
         raise PreconditionError("candidate point is outside dom f0")
     _validate_qualification(prog)
     kres = sublevel_normal_cone_formula(prog.family, x, e, grid=grid, mode=mode)
-    sub0 = eps_subdifferential(prog.objective, x, 0)
+    sub0 = exact_subdifferential(prog.objective, x)
     if sub0.is_empty:
         raise InternalCheckError("subdifferential empty at a domain point")
     cert = _membership_certificate(sub0, kres.cone)
@@ -478,7 +479,7 @@ def check_necessary_qc(
     if fx == POS_INF:
         raise PreconditionError("candidate point is outside dom f0")
     kres = qc_sublevel_normal_cone(prog.constraints, x, e)
-    sub0 = eps_subdifferential(prog.objective, x, 0)
+    sub0 = exact_subdifferential(prog.objective, x)
     cert = _membership_certificate(sub0, kres.cone)
     if cert is None:
         improving = _qc_improving_point(prog, fx)

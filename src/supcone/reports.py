@@ -11,7 +11,7 @@ import json
 
 from .errors import InputError
 from .formulas import CcReport, FormulaResult, FrechetCone, InclusionReport, IntersectionResult
-from .geometry import ConeGen, GeneratorSet, Vec, format_rat
+from .geometry import ConeGen, Vec, format_rat
 from .optimality import Certificate, OptimalityReport, QCOptimalityReport, SipReport
 from .oracle import VerificationReport
 
@@ -24,13 +24,6 @@ def vec_text(v: Vec) -> list[str]:
 
 def rays_text(cone: ConeGen) -> list[list[str]]:
     return [vec_text(r) for r in cone.rays]
-
-
-def gens_text(g: GeneratorSet) -> dict:
-    return {
-        "points": [vec_text(p) for p in g.points],
-        "rays": [vec_text(r) for r in g.rays],
-    }
 
 
 def _pairs_text(pairs) -> list[list]:

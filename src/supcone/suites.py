@@ -162,7 +162,8 @@ def curated_cases() -> tuple[SuiteCase, ...]:
         "nc-eps-intersection-box", "eps-intersection",
         lambda: {"family": _box_family(), "point": (F(1), F(1)),
                  "epsilons": (F(1), F(1, 2), F(1, 4))},
-        {"stabilized": True, "matches_per_eps": True},
+        {"stabilized": True, "matches_per_eps": True,
+         "cone_rays": [["0", "1"], ["1", "0"]]},
     ))
     add(SuiteCase(
         "nc-strict-slater", "strict-cone",
@@ -595,7 +596,11 @@ def _dispatch(case: SuiteCase, payload: dict, mutate: bool) -> tuple[dict, dict]
         )
         rec = reports.intersection_record(case.ident, inter)
         rec["matches_per_eps"] = matches
-        got = {"stabilized": inter.stabilized, "matches_per_eps": matches}
+        got = {
+            "stabilized": inter.stabilized,
+            "matches_per_eps": matches,
+            "cone_rays": rec["cone_rays"],
+        }
         return rec, got
     if kind == "dom-cone":
         res = dom_sup_normal_cone(

@@ -17,11 +17,12 @@ picks the generators.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from supcone import formulas
+from supcone import formulas, suites
 from supcone.errors import InputError, PreconditionError
 from supcone.formulas import IntersectionResult, SupFamily, sublevel_normal_cone_intersection
 from supcone.functions import ImproperFunction, affine_function, max_affine
@@ -32,6 +33,7 @@ from supcone.generate import (
     random_point,
 )
 from supcone.geometry import (
+    ConeGen,
     HalfSpace,
     cone_equal,
     dot,
@@ -41,6 +43,7 @@ from supcone.geometry import (
     vscale,
 )
 from supcone.geometry.vec import rat
+from supcone.suites import curated_cases, run_case
 
 F = Fraction
 
@@ -214,3 +217,23 @@ def test_intersection_converts_each_distinct_cone_once(monkeypatch) -> None:
     res = sublevel_normal_cone_intersection(family, x, EPS_LISTS[4])
     assert not is_pointed(3, res.cone.rays)
     assert (len(polars), len(collections)) == (1, 2)
+
+
+def test_suite_box_case_fails_on_a_wrong_intersection_cone(monkeypatch) -> None:
+    """nc-eps-intersection-box checks the cone itself: stabilized and the
+    per-eps agreement hold for whatever cone the intersection form returns."""
+    case = next(c for c in curated_cases() if c.ident == "nc-eps-intersection-box")
+    rec, ok = run_case(case)
+    assert ok and rec["cone_rays"] == [["0", "1"], ["1", "0"]]
+
+    def dropped_ray(*args, **kwargs):
+        res = sublevel_normal_cone_intersection(*args, **kwargs)
+        wrong = ConeGen(res.cone.dim, res.cone.rays[1:])
+        per_eps = tuple(replace(r, cone=wrong) for r in res.per_eps)
+        return replace(res, cone=wrong, per_eps=per_eps)
+
+    monkeypatch.setattr(suites, "sublevel_normal_cone_intersection", dropped_ray)
+    rec, ok = run_case(case)
+    assert not ok
+    assert rec["outcome"] == "fail"
+    assert rec["detail"].startswith("cone_rays: expected")

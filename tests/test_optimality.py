@@ -1,14 +1,23 @@
 """Certificate checkers for convex, semi-infinite linear, and qc programs."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from supcone import functions
 from supcone.errors import InputError, PreconditionError
-from supcone.formulas import QCMember, SmoothQCMember, SublevelOracleQC, family_from_functions
+from supcone.formulas import (
+    QCMember,
+    SmoothQCMember,
+    SublevelOracleQC,
+    family_from_functions,
+    inclusion_witness_check,
+)
 from supcone.functions import affine_function, max_affine
+from supcone.generate import random_direction, random_point
 from supcone.geometry import halfspace, polyhedron
-from supcone.geometry.vec import dot, vec
+from supcone.geometry.vec import dot, vec, vscale
 from supcone.optimality import (
     CircleSampler,
     LinearSIPInstance,
@@ -21,6 +30,8 @@ from supcone.optimality import (
     minimize_objective,
     verify_certificate,
 )
+from test_recession_rays import LINE
+from test_single_evaluation import count_calls
 
 F = Fraction
 
@@ -295,3 +306,102 @@ def test_qc_necessary_off_domain_candidate() -> None:
     )
     with pytest.raises(PreconditionError):
         check_necessary_qc(prog, F(1, 4))
+
+
+# ------------------------------------------- d_0 f0(x) off the active pieces
+
+
+ORIGIN = vec((0, 0))
+# y1 <= 0 with the strictly feasible witness (-1, 0) or (-1, -1)
+HALF_PLANE = family_from_functions([affine_function((1, 0), 0)])
+# -y1 + |y2| beside an inactive piece, on the whole space, on {y2 <= 0}
+# (N_D(0) = cone{(0, 1)} is pointed) and on the line {y2 = 0}
+D0_OBJECTIVES = {
+    "whole space": (max_affine(2, [((-1, 1), 0), ((-1, -1), 0), ((1, 1), -1)]), (-1, -1)),
+    "pointed domain": (
+        max_affine(2, [((-1, 1), 0), ((-1, -1), 0)], polyhedron(2, [hs((0, 1), 0)])),
+        (-1, -1),
+    ),
+    "line domain": (max_affine(2, [((-1, 1), 0), ((-1, -1), 0)], LINE), (-1, 0)),
+}
+
+
+def d0_checker_calls(monkeypatch, objective, witness) -> dict:
+    """The eps_subdifferential calls each checker makes with objective at
+    the origin: the convex check, its certificate, the qc condition and the
+    inclusion witnesses of [objective <= 0]."""
+    prog = ProgramInstance(
+        objective, HALF_PLANE, ORIGIN, Qualification("interior-feasible", vec(witness))
+    )
+    calls = count_calls(monkeypatch, functions.eps_subdifferential)
+    out = {}
+    rep = check_optimal_convex(prog, 1)
+    assert rep.verdict == "optimal"
+    out["check_optimal_convex"] = list(calls)
+    calls.clear()
+    assert verify_certificate(prog, rep.certificate)
+    out["verify_certificate"] = list(calls)
+    calls.clear()
+    qc = check_necessary_qc(QCProgram(objective, qc_box(), ORIGIN), F(1, 4))
+    assert qc.verdict == "condition-holds"
+    out["check_necessary_qc"] = list(calls)
+    calls.clear()
+    assert inclusion_witness_check(objective, ORIGIN, F(1, 4)).all_found
+    out["inclusion_witness_check"] = list(calls)
+    return out
+
+
+@pytest.mark.parametrize("name", ["whole space", "pointed domain"])
+def test_checkers_read_d0_off_the_active_pieces(monkeypatch, name) -> None:
+    objective, witness = D0_OBJECTIVES[name]
+    calls = d0_checker_calls(monkeypatch, objective, witness)
+    assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
+
+
+def test_checkers_convert_d0_when_the_domain_normal_cone_has_a_line(monkeypatch) -> None:
+    objective, witness = D0_OBJECTIVES["line domain"]
+    calls = d0_checker_calls(monkeypatch, objective, witness)
+    for name in ("check_optimal_convex", "verify_certificate", "check_necessary_qc"):
+        assert [args for args, _ in calls[name]] == [(objective, ORIGIN, 0)], name
+    points = [args[1] for args, _ in calls["inclusion_witness_check"]]
+    assert ORIGIN in points
+    assert all(y[1] == 0 for y in points)
+
+
+def dim7_program(rng: random.Random, k: int, optimal: bool) -> ProgramInstance:
+    """Three affine constraints, two of them active at x, and a whole-space
+    objective of k pieces, two of them active at x. When optimal, one active
+    slope is minus an active constraint's slope, so theta lies in
+    d f0(x) + N and x is optimal."""
+    dim = 7
+    x = random_point(rng, dim)
+    slopes = [random_direction(rng, dim) for _ in range(3)]
+    margins = (0, 0, rng.randint(0, 2))
+    fam = family_from_functions(
+        [affine_function(a, -dot(a, x) - m) for a, m in zip(slopes, margins)]
+    )
+    level = F(rng.randint(-3, 3))
+    first = vscale(F(-1), slopes[0]) if optimal else random_direction(rng, dim)
+    active = [first, random_direction(rng, dim)]
+    pieces = [(a, level - dot(a, x)) for a in active]
+    for _ in range(k - 2):
+        a = random_direction(rng, dim)
+        pieces.append((a, level - dot(a, x) - rng.randint(1, 3)))
+    rng.shuffle(pieces)
+    return ProgramInstance(
+        max_affine(dim, pieces), fam, x, Qualification("objective-continuous", x)
+    )
+
+
+def test_dim7_check_optimal_takes_no_epigraph_conversion(monkeypatch) -> None:
+    # Converting the epigraph of one of these objectives takes minutes.
+    calls = count_calls(monkeypatch, functions.epigraph_generators)
+    verdicts = []
+    for seed in range(4):
+        prog = dim7_program(random.Random(7000 + seed), 12, optimal=seed % 2 == 0)
+        rep = check_optimal_convex(prog, 1)
+        verdicts.append(rep.verdict)
+        if rep.certificate is not None:
+            assert verify_certificate(prog, rep.certificate)
+    assert verdicts == ["optimal", "not-optimal"] * 2
+    assert calls == []

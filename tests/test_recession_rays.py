@@ -158,6 +158,9 @@ LINE_FAMILY = SupFamily(
     ),
 )
 ORIGIN = (F(0), F(0))
+# max(y1, -y1) on the whole space: its d_0 cone at the origin is the line
+# through (1, 0), while N_dom(x) = {0}.
+ABS_FAMILY = SupFamily(2, (("abs", max_affine(2, [((1, 0), 0), ((-1, 0), 0)])),))
 
 
 def d0_has_line(f, x) -> bool:
@@ -168,12 +171,16 @@ def d0_has_line(f, x) -> bool:
 @pytest.mark.parametrize("grid", [SGrid.from_values([1]), SGrid.geometric(min_exp=-2, max_exp=2), DEFAULT_GRID])
 def test_sampled_mode_converts_d0_only_when_its_cone_has_a_line(monkeypatch, grid) -> None:
     # The rays through d_0 f(x) of an active member are read off its active
-    # pieces and N_dom(x); d_0 f(x) is converted only when their cone holds
-    # a line, as for LINE_FAMILY's member on the line {y2 = 0}.
+    # pieces and N_dom(x). When their cone holds a line the member's d_0 f(x)
+    # is pruned instead, and that is converted only when N_dom(x) holds a
+    # line, as for LINE_FAMILY's member on the line {y2 = 0}; ABS_FAMILY's
+    # d_0 cone holds a line on the whole space and takes no conversion.
     cases = [random_max_affine_family(random.Random(seed)) for seed in range(3000, 3004)]
-    cases = [(g.family, g.point, g.epsilon) for g in cases] + [(LINE_FAMILY, ORIGIN, F(1))]
+    cases = [(g.family, g.point, g.epsilon) for g in cases]
+    cases += [(LINE_FAMILY, ORIGIN, F(1)), (ABS_FAMILY, ORIGIN, F(1))]
+    assert d0_has_line(ABS_FAMILY.members[0][1], ORIGIN)
     wants = [
-        [(f, 0) for _, f in family.proper_items() if evaluate(f, x) == 0 and d0_has_line(f, x)]
+        [(f, 0) for _, f in family.proper_items() if evaluate(f, x) == 0 and has_line(f.domain, x)]
         for family, x, _ in cases
     ]
     calls = count_calls(monkeypatch, functions.eps_subdifferential)
@@ -183,7 +190,7 @@ def test_sampled_mode_converts_d0_only_when_its_cone_has_a_line(monkeypatch, gri
         sublevel_normal_cone_formula(family, x, e, grid=grid, mode="sampled")
         assert [(args[0], args[2]) for args, _ in calls] == want
         counts.append(len(calls))
-    assert counts == [0, 0, 0, 0, 1]
+    assert counts == [0, 0, 0, 0, 1, 0]
 
 
 def test_plain_affine_members_take_no_eps_subdifferential(monkeypatch) -> None:
