@@ -233,7 +233,7 @@ def exact_subdifferential(f: PolyhedralFunction, x: Vec) -> GeneratorSet:
 
     When N_D(x) is pointed the set holds no line, and its unique minimal
     V-representation (vertices among the slopes, extreme rays of N_D(x)) is
-    what generators(..., minimal=True) keeps from these generators: the same
+    what generators(...) keeps from these generators: the same
     canonical GeneratorSet that h_to_v's rank test returns from the
     conversion. When N_D(x) contains a line the minimal generating sets are
     not unique, and the reported one stays eps_subdifferential(f, x, 0)'s.
@@ -339,7 +339,6 @@ class Interval:
 
 
 EMPTY_INTERVAL = Interval(Fraction(1), True, Fraction(0), True)
-FULL_INTERVAL = Interval(None, False, None, False)
 
 
 def interval_equal(a: Interval, b: Interval) -> bool:

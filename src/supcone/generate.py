@@ -18,12 +18,12 @@ from .formulas import (
     SmoothQCMember,
     SublevelOracleQC,
     SupFamily,
+    _interval_rows,
 )
 from .functions import (
     Affine1,
     AffinePiece,
     ImproperFunction,
-    Interval,
     PolyhedralFunction,
     QuasiConvex1D,
 )
@@ -36,7 +36,6 @@ from .geometry import (
     dot,
     generators,
     polyhedron,
-    vscale,
     whole_space,
 )
 from .optimality import ProgramInstance, Qualification
@@ -177,17 +176,6 @@ _PROFILE_BUILDERS = (
 )
 
 
-def _interval_halfspaces(direction: Vec, shift: Fraction, iv: Interval) -> list[HalfSpace]:
-    if iv.is_empty or not iv.lo_closed and iv.lo is not None or not iv.hi_closed and iv.hi is not None:
-        raise InputError("declared sublevels must be closed and nonempty")
-    rows = []
-    if iv.hi is not None:
-        rows.append(HalfSpace(direction, iv.hi - shift))
-    if iv.lo is not None:
-        rows.append(HalfSpace(vscale(Fraction(-1), direction), shift - iv.lo))
-    return rows
-
-
 def _random_smooth(rng: random.Random, dim: int, x: Vec, ident: str) -> QCMember:
     a = random_direction(rng, dim, span=2)
     root = Fraction(rng.randint(-2, 2))
@@ -204,16 +192,11 @@ def _random_smooth(rng: random.Random, dim: int, x: Vec, ident: str) -> QCMember
     if rng.random() < 0.5:
         coeffs = tuple(-c for c in coeffs)
     margin = Fraction(rng.choice((0, 0, 1)))
-    increasing = _poly_eval_sign(coeffs)
+    increasing = SmoothQCMember(a, Fraction(0), coeffs, root).increasing
     # place the anchor inside the halfspace: u(x) on the feasible side of the root
     shift = root - dot(a, x) + (-margin if increasing else margin)
     ev = SmoothQCMember(a, shift, coeffs, root)
     return QCMember(ident, ev.zero_sublevel(), ev)
-
-
-def _poly_eval_sign(coeffs: tuple[Fraction, ...]) -> bool:
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    return all(c >= 0 for c in deriv[0::2])
 
 
 def _random_profile_member(rng: random.Random, dim: int, x: Vec, ident: str) -> QCMember:
@@ -231,7 +214,10 @@ def _random_profile_member(rng: random.Random, dim: int, x: Vec, ident: str) -> 
         u_star = rng.choice(anchors)
     shift = u_star - dot(a, x)
     ev = AffineComposed1D(a, shift, prof)
-    sub = polyhedron(dim, _interval_halfspaces(a, shift, iv))
+    strict, rows = _interval_rows(a, shift, iv)
+    if strict or iv.is_empty:
+        raise InputError("declared sublevels must be closed and nonempty")
+    sub = polyhedron(dim, rows)
     return QCMember(ident, sub, ev)
 
 

@@ -10,12 +10,9 @@ from .sets import (
     NEG_INF,
     POS_INF,
     PolyhedronH,
-    closed_conv_hull_union,
     cone,
     cone_contains,
     cone_equal,
-    cone_multipliers,
-    cone_polar,
     empty_generators,
     empty_polyhedron,
     generator_member,
@@ -27,17 +24,13 @@ from .sets import (
     is_empty_poly,
     is_pointed,
     lp_solve,
-    minkowski_sum,
     poly_contains_generators,
     poly_contains_point,
     poly_equal,
     polyhedron,
     recession_cone,
-    recession_of_generators,
-    scale_generators,
     sup_distance_to_cone,
     support_function,
-    translate_poly,
     v_to_h,
     whole_space,
 )
@@ -49,7 +42,6 @@ from .vec import (
     parse_rat,
     primitive_ints,
     rat,
-    unit_vec,
     vadd,
     vec,
     vscale,

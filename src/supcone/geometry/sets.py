@@ -19,13 +19,13 @@ as Fractions. The conversions read the cone_rays output as it comes, and
 h_to_v forms each point as Fraction(x, t).
 
 Redundant generators are removed in one of two ways. Where the rows of a
-conversion are at hand (h_to_v, recession_cone, cone_polar, inequality_cone)
-and have full rank, the cone is pointed and its unique minimal generating set
+conversion are at hand (h_to_v, recession_cone, inequality_cone) and have
+full rank, the cone is pointed and its unique minimal generating set
 is its extreme rays: a generator is kept iff the rows tight at it have rank
 n - 1, an integer rank test with no LP. h_to_v runs it even with
 minimal=False, which only turns off the pruning LPs. Everywhere else (rows of
-lower rank, and generators(..., minimal=True) or cone(..., minimal=True) on
-generators of unknown origin) one small LP per generator decides redundancy.
+lower rank, and generators(...) or cone(..., minimal=True) on generators of
+unknown origin) one small LP per generator decides redundancy.
 Both give the same canonical output.
 """
 
@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from ..errors import InputError, InternalCheckError
 from . import lp
-from .dd import DEFAULT_ROW_CAP, cone_rays
+from .dd import cone_rays
 from .vec import (
     Vec,
     divide_gcd,
@@ -45,9 +45,7 @@ from .vec import (
     is_zero_vec,
     primitive_ints,
     rat,
-    vadd,
     vec,
-    vscale,
     zero_vec,
 )
 
@@ -133,15 +131,13 @@ def empty_generators(dim: int) -> GeneratorSet:
     return GeneratorSet(dim, (), ())
 
 
-def generators(
-    dim: int, points: Iterable[Vec] = (), rays: Iterable[Vec] = (), minimal: bool = True
-) -> GeneratorSet:
+def generators(dim: int, points: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -> GeneratorSet:
     """Canonical constructor: dedupe, primitive rays, lexicographic order.
 
-    minimal=True (the default) also drops generators that do not change the
-    set: a ray inside the cone of the remaining rays, a point inside the hull
-    of the remaining generators. One small LP per generator; h_to_v replaces
-    these LPs by a rank test when its homogenized rows have full rank.
+    Also drops generators that do not change the set: a ray inside the cone
+    of the remaining rays, a point inside the hull of the remaining
+    generators. One small LP per generator; h_to_v replaces these LPs by a
+    rank test when its homogenized rows have full rank.
     """
     pts = sorted({tuple(p) for p in points})
     for p in pts:
@@ -152,44 +148,42 @@ def generators(
         if rys:
             raise InputError("a GeneratorSet without points is empty and must have no rays")
         return GeneratorSet(dim, (), ())
-    if minimal:
-        if len(rys) > 1:
-            kept = list(rys)
-            i = 0
-            while i < len(kept):
-                if lp.solve_nonneg_combination(kept[:i] + kept[i + 1 :], kept[i]) is not None:
-                    kept.pop(i)
-                else:
-                    i += 1
-            rys = kept
-        if len(pts) > 1:
-            keep_pts: list[Vec] = list(pts)
-            i = 0
-            while i < len(keep_pts):
-                others = keep_pts[:i] + keep_pts[i + 1 :]
-                cols = [q + (1,) for q in others] + [r + (0,) for r in rys]
-                if lp.solve_nonneg_combination(cols, keep_pts[i] + (1,)) is not None:
-                    keep_pts.pop(i)
-                else:
-                    i += 1
-            pts = keep_pts
+    rys = _prune_rays(rys)
+    if len(pts) > 1:
+        keep_pts: list[Vec] = list(pts)
+        i = 0
+        while i < len(keep_pts):
+            others = keep_pts[:i] + keep_pts[i + 1 :]
+            cols = [q + (1,) for q in others] + [r + (0,) for r in rys]
+            if lp.solve_nonneg_combination(cols, keep_pts[i] + (1,)) is not None:
+                keep_pts.pop(i)
+            else:
+                i += 1
+        pts = keep_pts
     return GeneratorSet(dim, tuple(pts), tuple(rys))
 
 
 def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
     """Canonical cone: primitive sorted rays; minimal=True drops redundant ones."""
     rys = _canonical_rays(dim, rays)
-    if minimal and len(rys) > 1:
-        kept = list(rys)
-        i = 0
-        while i < len(kept):
-            others = kept[:i] + kept[i + 1 :]
-            if lp.solve_nonneg_combination(others, kept[i]) is not None:
-                kept.pop(i)
-            else:
-                i += 1
-        rys = kept
+    if minimal:
+        rys = _prune_rays(rys)
     return ConeGen(dim, tuple(rys))
+
+
+def _prune_rays(rays: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The rays left after dropping, in order, each one inside the cone of
+    the others still kept: one LP per ray tested."""
+    if len(rays) < 2:
+        return rays
+    kept = list(rays)
+    i = 0
+    while i < len(kept):
+        if lp.solve_nonneg_combination(kept[:i] + kept[i + 1 :], kept[i]) is not None:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
 
 
 def _canonical_rays(dim: int, rays: Iterable[Vec]) -> list[tuple[int, ...]]:
@@ -265,9 +259,7 @@ def intersect(*polys: PolyhedronH) -> PolyhedronH:
 # --- representation conversions ---------------------------------------------
 
 
-def h_to_v(
-    poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP, minimal: bool = True
-) -> GeneratorSet:
+def h_to_v(poly: PolyhedronH, minimal: bool = True) -> GeneratorSet:
     """Generators of an H-polyhedron via DD on the homogenization.
 
     P lifts to {(y, t) : <n_i, y> - offset_i * t <= 0, t >= 0}; generators
@@ -282,7 +274,7 @@ def h_to_v(
     d = poly.dim
     rows = [h.normal + (-h.offset,) for h in poly.halfspaces]
     rows.append((0,) * d + (-1,))
-    rays = cone_rays(rows, d + 1, cap=cap)
+    rays = cone_rays(rows, d + 1)
     n_points = sum(1 for r in rays if r[d] > 0)
     if not n_points:
         return empty_generators(d)
@@ -303,7 +295,7 @@ def h_to_v(
     return GeneratorSet(d, tuple(points), tuple(recs))
 
 
-def v_to_h(gen: GeneratorSet, cap: int = DEFAULT_ROW_CAP) -> PolyhedronH:
+def v_to_h(gen: GeneratorSet) -> PolyhedronH:
     """H-representation via DD on the polar of the homogenization cone.
 
     The generators of polar(cone{(p,1)} + cone{(r,0)}) are exactly the lifted
@@ -314,7 +306,7 @@ def v_to_h(gen: GeneratorSet, cap: int = DEFAULT_ROW_CAP) -> PolyhedronH:
     if gen.is_empty:
         return empty_polyhedron(d)
     rows = [p + (1,) for p in gen.points] + [r + (0,) for r in gen.rays]
-    polar = cone_rays(rows, d + 1, cap=cap)
+    polar = cone_rays(rows, d + 1)
     hs = []
     for w in polar:
         a, beta = w[:d], w[d]
@@ -324,7 +316,7 @@ def v_to_h(gen: GeneratorSet, cap: int = DEFAULT_ROW_CAP) -> PolyhedronH:
     return polyhedron(d, hs)
 
 
-def recession_cone(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
+def recession_cone(poly: PolyhedronH) -> ConeGen:
     """{y : <n_i, y> <= 0 for all constraints} for nonempty P, else {theta}.
 
     A polyhedron that contains the origin (every eps-hull does) is nonempty
@@ -332,17 +324,17 @@ def recession_cone(poly: PolyhedronH, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
     """
     if not poly_contains_point(poly, zero_vec(poly.dim)) and is_empty_poly(poly):
         return ConeGen(poly.dim, ())
-    return inequality_cone([h.normal for h in poly.halfspaces], poly.dim, cap=cap)
+    return inequality_cone([h.normal for h in poly.halfspaces], poly.dim)
 
 
-def inequality_cone(rows: Sequence[Vec], dim: int, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
+def inequality_cone(rows: Sequence[Vec], dim: int) -> ConeGen:
     """The minimal cone {x : <row, x> <= 0 for every row}.
 
     Same result as cone(dim, cone_rays(rows, dim)). The cone_rays output is
     already canonical: distinct primitive int tuples in lex order. When the
     rows have full rank, the rank test keeps its extreme rays.
     """
-    rays = cone_rays(rows, dim, cap=cap)
+    rays = cone_rays(rows, dim)
     if len(rays) > 1:
         extreme = _extreme_rays(rows, rays, dim)
         if extreme is None:
@@ -398,50 +390,7 @@ def _int_rank(rows: list[tuple[int, ...]]) -> int:
     return rank
 
 
-def recession_of_generators(gen: GeneratorSet) -> ConeGen:
-    """Recession cone of conv(points)+cone(rays): cone(rays), {theta} if empty."""
-    if gen.is_empty:
-        return ConeGen(gen.dim, ())
-    return cone(gen.dim, gen.rays)
-
-
-# --- hulls, sums, support ----------------------------------------------------
-
-
-def closed_conv_hull_union(sets: Sequence[GeneratorSet], minimal: bool = False) -> GeneratorSet:
-    """Closed convex hull of a finite union of polyhedral generator sets.
-
-    Valid generator-wise because each input is a polyhedron: the hull of the
-    union is conv(all points) + cone(all rays). Empty inputs drop out. The
-    result is deduplicated and sorted but, by default, not pruned down to
-    extreme generators; unions can be large and redundancy is harmless.
-    """
-    dims = {g.dim for g in sets}
-    if len(dims) > 1:
-        raise InputError("hull inputs must share a dimension")
-    if not sets:
-        raise InputError("hull of an empty collection is undefined; pass at least one set")
-    d = dims.pop()
-    points: list[Vec] = []
-    rays: list[Vec] = []
-    for g in sets:
-        if g.is_empty:
-            continue
-        points.extend(g.points)
-        rays.extend(g.rays)
-    if not points:
-        return empty_generators(d)
-    return generators(d, points, rays, minimal=minimal)
-
-
-def minkowski_sum(a: GeneratorSet, b: GeneratorSet) -> GeneratorSet:
-    """A + B generator-wise; empty if either side is empty."""
-    if a.dim != b.dim:
-        raise InputError("Minkowski sum needs equal dimensions")
-    if a.is_empty or b.is_empty:
-        return empty_generators(a.dim)
-    points = [vadd(p, q) for p in a.points for q in b.points]
-    return generators(a.dim, points, a.rays + b.rays)
+# --- support and membership queries ------------------------------------------
 
 
 def support_function(a: GeneratorSet, direction: Vec):
@@ -454,18 +403,10 @@ def support_function(a: GeneratorSet, direction: Vec):
     return max(dot(direction, p) for p in a.points)
 
 
-# --- cone and membership queries ---------------------------------------------
-
-
-def cone_multipliers(c: ConeGen, v: Vec) -> list[Fraction] | None:
-    """mu >= 0 with sum mu_i * ray_i = v, or None when v is outside."""
+def cone_contains(c: ConeGen, v: Vec) -> bool:
     if len(v) != c.dim:
         raise InputError("vector dimension mismatch")
-    return lp.solve_nonneg_combination(list(c.rays), v)
-
-
-def cone_contains(c: ConeGen, v: Vec) -> bool:
-    return cone_multipliers(c, v) is not None
+    return lp.solve_nonneg_combination(list(c.rays), v) is not None
 
 
 def is_pointed(dim: int, rays: Sequence[Vec]) -> bool:
@@ -486,11 +427,6 @@ def cone_equal(a: ConeGen, b: ConeGen) -> bool:
     return all(cone_contains(b, r) for r in a.rays) and all(
         cone_contains(a, r) for r in b.rays
     )
-
-
-def cone_polar(c: ConeGen, cap: int = DEFAULT_ROW_CAP) -> ConeGen:
-    """{d : <d, r> <= 0 for every generator r}."""
-    return inequality_cone(c.rays, c.dim, cap=cap)
 
 
 def generator_member(gen: GeneratorSet, v: Vec) -> list[Fraction] | None:
@@ -576,17 +512,3 @@ def sup_distance_to_cone(v: Vec, c: ConeGen) -> tuple[Fraction, list[Fraction]]:
         # mu = 0, t = sup|v_k| is feasible and t >= 0 bounds the objective
         raise InternalCheckError(f"distance LP ended {res.status} without an optimum")
     return res.value, res.point[:nr]
-
-
-def scale_generators(s: Fraction, gen: GeneratorSet) -> GeneratorSet:
-    """s * (conv(points)+cone(rays)) for s > 0: points scale, rays are invariant."""
-    if s <= 0:
-        raise InputError("scale factor must be positive")
-    if gen.is_empty:
-        return gen
-    return generators(gen.dim, [vscale(s, p) for p in gen.points], gen.rays)
-
-
-def translate_poly(poly: PolyhedronH, shift: Vec) -> PolyhedronH:
-    hs = [HalfSpace(h.normal, h.offset + dot(h.normal, shift)) for h in poly.halfspaces]
-    return polyhedron(poly.dim, hs)

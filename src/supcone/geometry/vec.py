@@ -61,10 +61,6 @@ def zero_vec(dim: int) -> Vec:
     return (Fraction(0),) * dim
 
 
-def unit_vec(dim: int, k: int) -> Vec:
-    return tuple(Fraction(1 if i == k else 0) for i in range(dim))
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Exact inner product, summed as one int fraction and reduced once."""
     if len(a) != len(b):

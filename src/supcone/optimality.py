@@ -43,7 +43,6 @@ from .geometry import (
     Vec,
     cone,
     cone_contains,
-    cone_multipliers,
     dot,
     generator_member,
     lp,
@@ -342,16 +341,13 @@ class SipReport:
     improving_ray: Vec | None = None
 
 
-def _active_cone(
-    constraints: Sequence[tuple[Vec, Fraction]],
-    values: Sequence[Fraction],
-    indices: Sequence[int],
-    dim: int,
-) -> tuple[list[int], ConeGen]:
-    """The indices i among indices whose constraint (a_i, b_i) is active,
-    values[i] = <a_i, x> = b_i, and the cone of their a_i."""
-    active = [i for i in indices if values[i] == constraints[i][1]]
-    return active, cone(dim, [constraints[i][0] for i in active], minimal=False)
+def _active_multipliers(
+    constraints: Sequence[tuple[Vec, Fraction]], active: list[int], target: Vec
+) -> list[Fraction] | None:
+    """m >= 0 with sum m_j * a_{active[j]} = target, one m_j per active
+    constraint as given: the canonical cone would rescale, merge and reorder
+    the normals, and its multipliers would no longer match the indices."""
+    return lp.solve_nonneg_combination([constraints[i][0] for i in active], target)
 
 
 def check_sip_linear(instance: LinearSIPInstance) -> SipReport:
@@ -381,8 +377,8 @@ def check_sip_linear(instance: LinearSIPInstance) -> SipReport:
             values.append(dot(a, x))
             if values[-1] > b:
                 raise PreconditionError(f"candidate point violates constraint {i}")
-        active, k = _active_cone(cons, values, range(len(cons)), len(x))
-        mults = cone_multipliers(k, minus_c)
+        active = [i for i, (_, b) in enumerate(cons) if values[i] == b]
+        mults = _active_multipliers(cons, active, minus_c)
         if mults is not None:
             pairs = tuple(
                 (Fraction(i), m) for i, m in zip(active, mults) if m != 0
@@ -400,13 +396,14 @@ def check_sip_linear(instance: LinearSIPInstance) -> SipReport:
             raise PreconditionError(
                 f"candidate point violates a level-{level} sampled constraint"
             )
-        active, k = _active_cone(pts, values, indices, len(x))
+        active = [i for i in indices if values[i] == pts[i][1]]
+        k = cone(len(x), [pts[i][0] for i in active], minimal=False)
         dist, _ = sup_distance_to_cone(minus_c, k)
         if residuals and dist > residuals[-1]:
             raise InternalCheckError("residual increased along nested levels")
         residuals.append(dist)
     if residuals[-1] == 0:
-        mults = cone_multipliers(k, minus_c)
+        mults = _active_multipliers(pts, active, minus_c)
         if mults is None:
             raise InternalCheckError("zero residual but -c has no cone multipliers")
         half = 2 ** (finest - 1)

@@ -43,9 +43,9 @@ from supcone.geometry import (
     cone,
     cone_contains,
     cone_equal,
-    cone_polar,
     dot,
     h_to_v,
+    inequality_cone,
     intersect,
     is_empty_poly,
     lp,
@@ -53,9 +53,7 @@ from supcone.geometry import (
     poly_equal,
     polyhedron,
     recession_cone,
-    recession_of_generators,
     support_function,
-    translate_poly,
     v_to_h,
 )
 from supcone.optimality import (
@@ -291,7 +289,7 @@ def test_criterion_10_preliminary_identities_bulk() -> None:
     for i in range(1000):
         rng = random.Random(11_000 + i)
         a = random_generator_set(rng)
-        polar = cone_polar(recession_of_generators(a))
+        polar = inequality_cone(cone(a.dim, a.rays).rays, a.dim)
         for r in polar.rays:
             if support_function(a, r) is POS_INF:
                 failures.append(("support", i, r))
@@ -317,9 +315,11 @@ def test_criterion_10_preliminary_identities_bulk() -> None:
             unit = [HalfSpace(tuple(F(s if k == j else 0) for k in range(dim)), F(s == 1))
                     for j in range(dim) for s in (1, -1)]
             box = polyhedron(dim, unit)
-            pair = [box, translate_poly(box, tuple(F(7) for _ in range(dim)))]
+            far = [HalfSpace(h.normal, h.offset + 7 * sum(h.normal)) for h in box.halfspaces]
+            pair = [box, polyhedron(dim, far)]
         cones = [recession_cone(p) for p in pair]
-        lhs = cone_polar(cone(dim, tuple(r for c in cones for r in cone_polar(c).rays)))
+        polars = tuple(r for c in cones for r in inequality_cone(c.rays, dim).rays)
+        lhs = inequality_cone(cone(dim, polars).rays, dim)
         rhs = recession_cone(intersect(*pair))
         if not cone_equal(lhs, rhs):
             failures.append(("recession-intersection", i))

@@ -11,24 +11,21 @@ from supcone.geometry.sets import (
     cone,
     cone_contains,
     cone_equal,
-    cone_polar,
-    closed_conv_hull_union,
     empty_generators,
     empty_polyhedron,
     generator_member,
     generators,
     h_to_v,
     halfspace,
+    inequality_cone,
     intersect,
     is_empty_poly,
     lp_solve,
-    minkowski_sum,
     poly_contains_generators,
     poly_contains_point,
     poly_equal,
     polyhedron,
     recession_cone,
-    recession_of_generators,
     sup_distance_to_cone,
     support_function,
     v_to_h,
@@ -157,10 +154,10 @@ def test_cone_contains_and_equal() -> None:
 
 def test_cone_polar_quadrant() -> None:
     c = cone(2, rays=[vec((1, 0)), vec((0, 1))])
-    polar = cone_polar(c)
+    polar = inequality_cone(c.rays, c.dim)
     # polar = {v : <v, y> <= 0 for all y in c} = nonpositive quadrant
     assert cone_equal(polar, cone(2, rays=[vec((-1, 0)), vec((0, -1))]))
-    assert cone_equal(cone_polar(polar), c)
+    assert cone_equal(inequality_cone(polar.rays, polar.dim), c)
 
 
 def test_recession_cone_of_slab() -> None:
@@ -180,35 +177,6 @@ def test_recession_cone_skips_emptiness_lp_when_origin_inside(monkeypatch) -> No
     monkeypatch.setattr(sets, "is_empty_poly", no_lp)
     slab = polyhedron(2, [hs((0, 1), 1), hs((0, -1), 1)])
     assert cone_equal(recession_cone(slab), cone(2, rays=[vec((1, 0)), vec((-1, 0))]))
-
-
-def test_recession_of_generators_matches_rays() -> None:
-    g = generators(2, points=[vec((1, 1))], rays=[vec((1, 0)), vec((1, 1))])
-    rc = recession_of_generators(g)
-    assert cone_equal(rc, cone(2, rays=[vec((1, 0)), vec((1, 1))]))
-
-
-def test_closed_conv_hull_union_two_segments() -> None:
-    a = generators(1, points=[vec((0,)), vec((1,))])
-    b = generators(1, points=[vec((3,)), vec((4,))])
-    u = closed_conv_hull_union([a, b], minimal=True)
-    assert set(u.points) == {vec((0,)), vec((4,))}
-
-
-def test_closed_conv_hull_union_skips_empty() -> None:
-    a = generators(2, points=[vec((0, 0))], rays=[vec((1, 0))])
-    u = closed_conv_hull_union([a, empty_generators(2)], minimal=True)
-    assert set(u.points) == {vec((0, 0))}
-    assert set(u.rays) == {vec((1, 0))}
-
-
-def test_minkowski_sum_box_plus_ray() -> None:
-    seg = generators(2, points=[vec((0, 0)), vec((1, 0))])
-    ray = generators(2, points=[vec((0, 0))], rays=[vec((0, 1))])
-    s = minkowski_sum(seg, ray)
-    p = v_to_h(s)
-    assert poly_contains_point(p, vec(("1/2", 7)))
-    assert not poly_contains_point(p, vec((0, -1)))
 
 
 def test_support_function_values() -> None:

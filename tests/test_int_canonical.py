@@ -254,10 +254,10 @@ def test_generators_and_cone_match_fraction_reference() -> None:
         rng = Random(41000 + 1000 * dim + seed)
         points = raw_vectors(rng, dim, zero_ok=True)
         rays = raw_vectors(rng, dim, zero_ok=True) if points else []
+        got = generators(dim, points, rays)
+        assert got == ref_generators(dim, points, rays), (dim, seed)
+        assert all_fractions(got.points) and all_ints(got.rays)
         for minimal in (True, False):
-            got = generators(dim, points, rays, minimal=minimal)
-            assert got == ref_generators(dim, points, rays, minimal=minimal), (dim, seed)
-            assert all_fractions(got.points) and all_ints(got.rays)
             c = cone(dim, rays, minimal=minimal)
             assert c == ref_cone(dim, rays, minimal=minimal), (dim, seed)
             assert all_ints(c.rays)

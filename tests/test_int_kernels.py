@@ -17,7 +17,7 @@ import pytest
 
 from supcone.errors import InputError, SizingError
 from supcone.geometry import dd, lp
-from supcone.geometry.vec import Vec, dot, is_zero_vec, unit_vec, vec
+from supcone.geometry.vec import Vec, dot, is_zero_vec, vec
 
 F = Fraction
 _ZERO = F(0)
@@ -54,7 +54,7 @@ def ref_cone_rays(rows, dim, cap=dd.DEFAULT_ROW_CAP):
 
     current = []
     for k in range(emb):
-        r = unit_vec(emb, k)
+        r = tuple(F(1 if i == k else 0) for i in range(emb))
         current.append((r, zero_set(r, 0)))
 
     for j, a in enumerate(lifted):

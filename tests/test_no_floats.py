@@ -37,13 +37,13 @@ from supcone.generate import (
 )
 from supcone.geometry import (
     HalfSpace,
-    cone_polar,
+    cone,
     dot,
     h_to_v,
+    inequality_cone,
     lp_solve,
     polyhedron,
     recession_cone,
-    recession_of_generators,
     support_function,
     v_to_h,
 )
@@ -151,7 +151,7 @@ def _results():
         yield f"10 lp {i}", lp_solve(random_direction(random.Random(i), p.dim), p)
         rng = random.Random(11_000 + i)
         a = random_generator_set(rng)
-        polar = cone_polar(recession_of_generators(a))
+        polar = inequality_cone(cone(a.dim, a.rays).rays, a.dim)
         yield f"10 polar {i}", polar
         dirs = [random_direction(rng, a.dim) for _ in range(3)]
         yield f"10 support {i}", [support_function(a, d) for d in dirs]

@@ -225,6 +225,56 @@ def test_sip_circle_residuals_non_increasing() -> None:
     assert all(r > 0 for r in rep.residuals)
 
 
+@pytest.mark.parametrize(
+    "inst, want",
+    [
+        # two unit normals listed against their lex order
+        (
+            LinearSIPInstance(
+                dim=2,
+                cost=vec((-1, -2)),
+                point=vec((0, 0)),
+                constraints=((vec((1, 0)), F(0)), (vec((0, 1)), F(0))),
+            ),
+            ((F(0), F(1)), (F(1), F(2))),
+        ),
+        # a normal that is not primitive
+        (
+            LinearSIPInstance(
+                dim=2,
+                cost=vec((-1, 0)),
+                point=vec((0, 0)),
+                constraints=((vec(("1/2", 0)), F(0)),),
+            ),
+            ((F(0), F(2)),),
+        ),
+        # the circle sampler's u = 1/2 normal, (3/5, 4/5)
+        (
+            LinearSIPInstance(
+                dim=2,
+                cost=vec(("-3/5", "-4/5")),
+                point=vec(("3/5", "4/5")),
+                sampler=CircleSampler(),
+                levels=(2, 3, 4),
+            ),
+            ((F(1, 2), F(1)),),
+        ),
+    ],
+)
+def test_sip_multipliers_belong_to_their_constraints(inst, want) -> None:
+    rep = check_sip_linear(inst)
+    assert rep.verdict == "optimal"
+    assert rep.multipliers == want
+    total = [F(0), F(0)]
+    for key, m in rep.multipliers:
+        if inst.constraints is not None:
+            a = inst.constraints[int(key)][0]
+        else:
+            a = ((1 - key * key) / (1 + key * key), 2 * key / (1 + key * key))
+        total = [t + m * c for t, c in zip(total, a)]
+    assert tuple(total) == vscale(F(-1), inst.cost)
+
+
 def test_sip_validation() -> None:
     with pytest.raises(InputError):
         LinearSIPInstance(dim=2, cost=vec((1, 0)), point=vec((0, 0)))

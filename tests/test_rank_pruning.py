@@ -1,8 +1,8 @@
 """Rank-test pruning and unpruned epigraphs against the LP-pruned paths.
 
-The reference functions below are ``h_to_v``, ``recession_cone`` and
-``cone_polar`` as they were when every conversion pruned its double
-description output with one LP per generator (``generators``/``cone`` with
+The reference functions below are ``h_to_v``, ``recession_cone`` and the
+polar of a cone (``inequality_cone`` on its rays) as they were when every
+conversion pruned its double description output with one LP per generator (``generators``/``cone`` with
 ``minimal=True``), and ``eps_subdifferential`` as it was when the epigraph's
 generators were pruned too. They live here only to pin the LP-free paths to
 identical output on seeded inputs.
@@ -29,7 +29,6 @@ from supcone.geometry import (
     PolyhedronH,
     cone,
     cone_equal,
-    cone_polar,
     cone_rays,
     empty_generators,
     generators,
@@ -174,7 +173,7 @@ def test_pruned_conversions_match_lp_pruning() -> None:
         assert h_to_v(polyhedron(dim, poly.halfspaces)) == got, (dim, seed)
         assert recession_cone(poly) == ref_recession_cone(poly), (dim, seed)
         c = ConeGen(dim, tuple(raw_rays(rng, dim)))
-        assert cone_polar(c) == ref_cone_polar(c), (dim, seed)
+        assert inequality_cone(c.rays, dim) == ref_cone_polar(c), (dim, seed)
         normals = [h.normal for h in poly.halfspaces]
         assert inequality_cone(normals, dim) == cone(dim, cone_rays(normals, dim))
         if got.is_empty:

@@ -2,7 +2,8 @@
 
 The references below rebuild the hull route from public pieces: a sampled
 hull over the whole s-grid (eps_subdifferential, scale_generators,
-closed_conv_hull_union) and an intersection form that converts every hull
+closed_conv_hull_union, the last two kept here as the hull route's own
+helpers) and an intersection form that converts every hull
 to halfspaces and takes the recession cone of their intersection. The cones
 from the rays alone must match them generator for generator, not merely as
 sets, since reports print the generators.
@@ -32,7 +33,7 @@ from supcone.functions import (
 )
 from supcone.generate import random_affine_family, random_dom_family, random_max_affine_family
 from supcone.geometry import (
-    closed_conv_hull_union,
+    GeneratorSet,
     cone,
     cone_contains,
     cone_equal,
@@ -42,9 +43,8 @@ from supcone.geometry import (
     halfspace,
     intersect,
     polyhedron,
+    primitive_ints,
     recession_cone,
-    recession_of_generators,
-    scale_generators,
     v_to_h,
     vscale,
     zero_vec,
@@ -54,6 +54,24 @@ from test_single_evaluation import count_calls
 from test_subdifferential_rays import cone_has_line
 
 F = Fraction
+
+
+def scale_generators(s, gen):
+    """s * (conv(points) + cone(rays)) for s > 0: points scale, rays stay."""
+    if gen.is_empty:
+        return gen
+    return generators(gen.dim, [vscale(s, p) for p in gen.points], gen.rays)
+
+
+def closed_conv_hull_union(sets):
+    """conv(all points) + cone(all rays) of nonempty polyhedral generator
+    sets, deduplicated and sorted but not pruned; empty inputs drop out."""
+    dim = sets[0].dim
+    points = sorted({p for g in sets for p in g.points})
+    rays = sorted({primitive_ints(r) for g in sets for r in g.rays})
+    if not points:
+        return GeneratorSet(dim, (), ())
+    return GeneratorSet(dim, tuple(points), tuple(rays))
 
 
 def sampled_hull(family, x, e, grid):
@@ -105,7 +123,8 @@ def hull_intersection(hulls):
 def test_sampled_cone_matches_grid_hull_on_criterion_02_families(seed) -> None:
     g = random_max_affine_family(random.Random(seed))
     res = sublevel_normal_cone_formula(g.family, g.point, g.epsilon, mode="sampled")
-    want = recession_of_generators(sampled_hull(g.family, g.point, g.epsilon, DEFAULT_GRID))
+    hull = sampled_hull(g.family, g.point, g.epsilon, DEFAULT_GRID)
+    want = cone(hull.dim, hull.rays)
     assert res.cone == want
     assert res.grid_stable is True
     assert res.exact == res.oracle_agrees
@@ -115,7 +134,8 @@ def test_sampled_cone_matches_grid_hull_on_curated_instances() -> None:
     grid = SGrid.geometric(min_exp=-2, max_exp=2)
     for ident, g in curated_sampled_instances():
         res = sublevel_normal_cone_formula(g.family, g.point, g.epsilon, mode="sampled")
-        want = recession_of_generators(sampled_hull(g.family, g.point, g.epsilon, grid))
+        hull = sampled_hull(g.family, g.point, g.epsilon, grid)
+        want = cone(hull.dim, hull.rays)
         assert res.cone == want, ident
         assert res.exact, ident
 
@@ -126,7 +146,7 @@ def test_intersection_matches_hull_intersection_on_criterion_03_families(seed) -
     for eps_list in ((F(1), F(1, 2), F(1, 4)), (F(1, 3), F(1, 9))):
         res = sublevel_normal_cone_intersection(g.family, g.point, eps_list, mode="exact-affine")
         hulls = [exact_affine_hull(g.family, g.point, e) for e in eps_list]
-        assert [per.cone for per in res.per_eps] == [recession_of_generators(h) for h in hulls]
+        assert [per.cone for per in res.per_eps] == [cone(h.dim, h.rays) for h in hulls]
         assert (res.cone, res.stabilized) == hull_intersection(hulls)
 
 

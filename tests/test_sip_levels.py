@@ -4,7 +4,8 @@
 ``check_sip_linear`` as they were when every level rebuilt its own sample
 (the coarser levels' points included) and took ``<a, x>`` twice per point.
 They live here only to pin the one-pass check to equal reports and equal
-errors on circle and finite instances.
+errors on circle and finite instances. Their multipliers come from the
+active normals as given, one per active index, as in the checked code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 from supcone.cli import main
 from supcone.errors import InternalCheckError, PreconditionError, SizingError
-from supcone.geometry import cone, cone_multipliers, dot, sup_distance_to_cone, vec, vscale
+from supcone.geometry import cone, dot, lp, sup_distance_to_cone, vec, vscale
 from supcone.optimality import (
     CircleSampler,
     LinearSIPInstance,
@@ -51,8 +52,9 @@ def ref_check_sip_linear(instance: LinearSIPInstance) -> SipReport:
         for i, (a, b) in enumerate(instance.constraints):
             if dot(a, x) > b:
                 raise PreconditionError(f"candidate point violates constraint {i}")
-        active, k = ref_active_cone(instance.constraints, x)
-        mults = cone_multipliers(k, minus_c)
+        active, _ = ref_active_cone(instance.constraints, x)
+        normals = [instance.constraints[i][0] for i in active]
+        mults = lp.solve_nonneg_combination(normals, minus_c)
         if mults is not None:
             pairs = tuple((Fraction(i), m) for i, m in zip(active, mults) if m != 0)
             return SipReport("optimal", (), (Fraction(0),), multipliers=pairs)
@@ -74,8 +76,9 @@ def ref_check_sip_linear(instance: LinearSIPInstance) -> SipReport:
         residuals.append(dist)
         last_level_pts = pts
     if residuals[-1] == 0:
-        active, k = ref_active_cone(last_level_pts, x)
-        mults = cone_multipliers(k, minus_c)
+        active, _ = ref_active_cone(last_level_pts, x)
+        normals = [last_level_pts[i][0] for i in active]
+        mults = lp.solve_nonneg_combination(normals, minus_c)
         half = 2 ** (instance.levels[-1] - 1)
         pairs = [
             (Fraction(idx - half, half), m) for idx, m in zip(active, mults) if m != 0
