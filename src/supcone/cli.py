@@ -37,7 +37,6 @@ from .optimality import (
     verify_certificate,
 )
 from .oracle import EQUAL, VIOLATION, verify_result
-from .suites import run_suite
 
 _GEN_KINDS = ("affine", "max-affine", "dom", "qc", "program")
 
@@ -215,6 +214,8 @@ def _cmd_check_sip(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suites import run_suite
+
     records, failures = run_suite(seed=args.seed, mutate=args.mutate)
     _emit(records, args)
     return 1 if failures else 0

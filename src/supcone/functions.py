@@ -175,7 +175,7 @@ def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...]
     normal-cone formulas take the rays of those sets from here, and
     tests/test_normal_cone_rays.py pins them to the conversions' rays.
     When N_D(x) is pointed (is_pointed: 0 is not in the convex hull of the
-    active rows) the converted set has no lines, h_to_v's rank test returns
+    active rows) the converted set has no lines, h_to_v's tight-row test returns
     exactly its extreme rays, and a pointed cone's extreme rays are unique,
     primitive and lex-sorted, as cone(dim, active) returns them. A cone
     with a line has many generating sets; it is its own double polar

@@ -21,12 +21,13 @@ h_to_v forms each point as Fraction(x, t).
 Redundant generators are removed in one of two ways. Where the rows of a
 conversion are at hand (h_to_v, recession_cone, inequality_cone) and have
 full rank, the cone is pointed and its unique minimal generating set
-is its extreme rays: a generator is kept iff the rows tight at it have rank
-n - 1, an integer rank test with no LP. h_to_v runs it even with
-minimal=False, which only turns off the pruning LPs. Everywhere else (rows of
-lower rank, and generators(...) or cone(..., minimal=True) on generators of
-unknown origin) one small LP per generator decides redundancy.
-Both give the same canonical output.
+is its extreme rays: a generator is kept iff no other generator has a
+strictly larger set of tight rows, a bitmask test with no LP. h_to_v runs it
+even with minimal=False, which only turns off the pruning LPs. Everywhere
+else (rows of lower rank, and generators(...) or cone(..., minimal=True) on
+generators of unknown origin) rays are pruned one LP per ray, which stops as
+soon as the rays still kept are linearly independent (an integer rank test),
+and points one LP per point. Both give the same canonical output.
 """
 
 from __future__ import annotations
@@ -136,8 +137,9 @@ def generators(dim: int, points: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -
 
     Also drops generators that do not change the set: a ray inside the cone
     of the remaining rays, a point inside the hull of the remaining
-    generators. One small LP per generator; h_to_v replaces these LPs by a
-    rank test when its homogenized rows have full rank.
+    generators. One small LP per point, and one per ray until the rays
+    still kept are linearly independent (see _prune_rays); h_to_v replaces
+    these LPs by a tight-row test when its homogenized rows have full rank.
     """
     pts = sorted({tuple(p) for p in points})
     for p in pts:
@@ -173,16 +175,26 @@ def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
 
 def _prune_rays(rays: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The rays left after dropping, in order, each one inside the cone of
-    the others still kept: one LP per ray tested."""
+    the others still kept: one LP per ray tested.
+
+    Before the first LP and after each drop, an integer rank test ends the
+    loop: linearly independent rays have none in the span of the others, so
+    none in their cone, and the LPs left would keep every one of them.
+    """
     if len(rays) < 2:
         return rays
     kept = list(rays)
     i = 0
+    changed = True
     while i < len(kept):
+        if changed and len(kept) <= len(kept[0]) and _int_rank(kept) == len(kept):
+            break
         if lp.solve_nonneg_combination(kept[:i] + kept[i + 1 :], kept[i]) is not None:
             kept.pop(i)
+            changed = True
         else:
             i += 1
+            changed = False
     return kept
 
 
@@ -348,25 +360,36 @@ def _extreme_rays(
 ) -> list[tuple[int, ...]] | None:
     """The extreme rays among rays, a generating set of {x : <row, x> <= 0}.
 
-    rays are the cone_rays output, primitive int tuples. The rows pass
-    through primitive_ints once so that the rank runs on ints: the callers
-    also take rational rows, not only canonical ones. When the nonzero rows
-    have rank n the cone is pointed, and a nonzero ray of it is extreme
-    iff the rows tight at it have rank n - 1 (Fukuda, "Frequently Asked
-    Questions in Polyhedral Computation", 2004). The extreme rays of a
-    pointed cone are its unique minimal generating set, which is what LP
-    pruning keeps. Rows of lower rank give None: the cone contains a line,
-    its minimal generating sets are not unique, and LP pruning decides.
+    rays are the cone_rays output: distinct primitive int tuples. The rows
+    pass through primitive_ints once so that the rank runs on ints: the
+    callers also take rational rows, not only canonical ones. When the
+    nonzero rows have rank n the cone is pointed, and a nonzero ray of it is
+    extreme iff the rows tight at it have rank n - 1 (Fukuda, "Frequently
+    Asked Questions in Polyhedral Computation", 2004). rays generate the
+    cone, so they hold every extreme ray, and a ray is extreme iff no other
+    ray's set of tight rows strictly contains its own: a ray on a face of
+    dimension >= 2 is outdone by the extreme rays of that face, and a set
+    strictly containing an extreme ray's would have rank n, which only 0
+    satisfies. The rank is then taken once per call, and each ray costs a
+    bitmask of its tight rows. The extreme rays of a pointed cone are its
+    unique minimal generating set, which is what LP pruning keeps. Rows of
+    lower rank give None: the cone contains a line, its minimal generating
+    sets are not unique, and LP pruning decides.
     """
     int_rows = list({p for p in (primitive_ints(r) for r in rows) if any(p)})
     if _int_rank(int_rows) < n:
         return None
-    kept = []
+    masks = []
     for x in rays:
-        tight = [a for a in int_rows if sum(u * v for u, v in zip(a, x)) == 0]
-        if len(tight) >= n - 1 and _int_rank(tight) == n - 1:
-            kept.append(x)
-    return kept
+        m = 0
+        for bit, a in enumerate(int_rows):
+            if sum(u * v for u, v in zip(a, x)) == 0:
+                m |= 1 << bit
+        masks.append(m)
+    distinct = set(masks)
+    return [
+        x for x, m in zip(rays, masks) if not any(o != m and o & m == m for o in distinct)
+    ]
 
 
 def _int_rank(rows: list[tuple[int, ...]]) -> int:
@@ -410,8 +433,12 @@ def cone_contains(c: ConeGen, v: Vec) -> bool:
 
 
 def is_pointed(dim: int, rays: Sequence[Vec]) -> bool:
-    """Does cone(rays) hold no line? For nonzero rays it holds one iff 0 is
-    in conv(rays), one phase-1 LP; no rays give the zero cone."""
+    """Does cone(rays) hold no line? Linearly independent rays (an integer
+    rank test) generate a pointed cone; no rays give the zero cone.
+    Otherwise, for nonzero rays, it holds a line iff 0 is in conv(rays):
+    one phase-1 LP. A zero ray lowers the rank and reaches the LP."""
+    if len(rays) <= dim and _int_rank([primitive_ints(tuple(r)) for r in rays]) == len(rays):
+        return True
     return lp.solve_nonneg_combination([tuple(r) + (1,) for r in rays], (0,) * dim + (1,)) is None
 
 

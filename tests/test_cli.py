@@ -1,6 +1,9 @@
 """Instance files, report formats, and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -493,3 +496,12 @@ def test_cli_csv_format(tmp_path, capsys) -> None:
     lines = out.strip().splitlines()
     assert lines[0] == "id,kind,verdict_or_outcome"
     assert lines[1].startswith("corner,normal-cone,")
+
+
+def test_importing_the_cli_leaves_the_suite_module_unloaded() -> None:
+    # Only `supcone suite` reads the suite module; every other command
+    # would pay for compiling it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(functions.__file__)))
+    code = "import sys, supcone.cli; sys.exit('supcone.suites' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

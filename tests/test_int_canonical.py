@@ -4,7 +4,9 @@ The reference functions below are ``polyhedron``, ``generators``, ``cone``
 and ``h_to_v`` as they were when the canonical forms deduplicated, sorted and
 divided ``Fraction`` tuples. They live here only to pin the integer-native
 constructors to identical output on seeded inputs: equal results whose rays
-and halfspace rows are int tuples and whose points are ``Fraction``s.
+and halfspace rows are int tuples and whose points are ``Fraction``s. The
+reference ray pruning and ``ref_is_pointed`` run one LP per ray and one
+phase-1 LP with no rank test, and pin the rank shortcut in front of them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from supcone.geometry import (
     empty_generators,
     generators,
     h_to_v,
+    is_pointed,
     lp,
     polyhedron,
     zero_vec,
@@ -88,6 +91,11 @@ def ref_cone(dim, rays=(), minimal=True):
     if minimal and len(rys) > 1:
         rys = _ref_prune(list(rys), lambda k, i: (k[:i] + k[i + 1 :], k[i]))
     return ConeGen(dim, tuple(rys))
+
+
+def ref_is_pointed(dim, rays):
+    cols = [tuple(r) + (F(1),) for r in rays]
+    return lp.solve_nonneg_combination(cols, zero_vec(dim) + (F(1),)) is None
 
 
 def ref_h_to_v(poly, minimal=True):
@@ -218,6 +226,46 @@ def raw_vectors(rng: Random, dim: int, zero_ok: bool) -> list[tuple]:
     return out
 
 
+def rank_test_rays(rng: Random, dim: int) -> list[tuple]:
+    """Up to dim + 1 directions, often linearly independent, with a
+    duplicate (or positive multiple), an opposite ray, a zero ray and a sum
+    of two of them each planted at random."""
+    out = [_direction(rng, dim) for _ in range(rng.randint(1, dim + 1))]
+    if rng.random() < 0.25:
+        r = rng.choice(out)
+        out.append(r if rng.random() < 0.5 else _scaled(rng, r))
+    if rng.random() < 0.25:
+        out.append(tuple(-v for v in rng.choice(out)))
+    if rng.random() < 0.2:
+        out.append(zero_vec(dim))
+    if len(out) >= 2 and rng.random() < 0.25:
+        a, b = rng.sample(out, 2)
+        out.append(tuple(u + v for u, v in zip(a, b)))
+    rng.shuffle(out)
+    return out
+
+
+def ray_features(rays) -> set[str]:
+    """Which of the rank test's cases a raw ray list falls in."""
+    prim = [_ref_primitive(r) for r in rays if not is_zero_vec(r)]
+    feats = {"independent" if _fraction_rank(rays) == len(rays) else "dependent"}
+    if len(prim) < len(rays):
+        feats.add("zero")
+    if len(set(prim)) < len(prim):
+        feats.add("duplicate")
+    if any(tuple(-v for v in p) in prim for p in prim):
+        feats.add("opposite")
+    if any(
+        tuple(u + v for u, v in zip(rays[i], rays[j])) == rays[k]
+        for i in range(len(rays))
+        for j in range(i + 1, len(rays))
+        for k in range(len(rays))
+        if k not in (i, j)
+    ):
+        feats.add("sum")
+    return feats
+
+
 # Dim 5 gets fewer seeds: the LP-pruned references dominate the run.
 CASES = [(dim, seed) for dim in range(1, 6) for seed in range(240 if dim < 5 else 60)]
 
@@ -286,3 +334,19 @@ def test_h_to_v_matches_fraction_reference() -> None:
             assert loose == got, (dim, seed)
         cut += loose != old
     assert full_rank >= 500 and cut >= 250, (full_rank, cut)
+
+
+def test_rank_shortcut_matches_lp_only_pruning() -> None:
+    seen = dict.fromkeys(("independent", "dependent", "duplicate", "opposite", "zero", "sum"), 0)
+    cases = [(dim, seed) for dim in range(1, 6) for seed in range(420)]
+    for dim, seed in cases:
+        rng = Random(61000 + 1000 * dim + seed)
+        rays = rank_test_rays(rng, dim)
+        c = cone(dim, rays)
+        assert c.rays == ref_cone(dim, rays).rays, (dim, seed)
+        assert all_ints(c.rays)
+        assert is_pointed(dim, rays) == ref_is_pointed(dim, rays), (dim, seed)
+        for feat in ray_features(rays):
+            seen[feat] += 1
+    assert len(cases) >= 2000
+    assert min(seen.values()) >= 100, seen

@@ -36,6 +36,7 @@ from supcone.geometry import (
     halfspace,
     inequality_cone,
     is_empty_poly,
+    is_pointed,
     lp,
     poly_contains_point,
     polyhedron,
@@ -277,3 +278,24 @@ def test_equal_ray_tuples_settle_cone_equal_without_lp(lp_calls) -> None:
     assert cone_equal(a, cone(2, [vec((1, 0)), vec((0, 1))]))
     assert lp_calls["solve"] > 0
     assert not cone_equal(a, ConeGen(3, ()))
+
+
+def test_independent_rays_settle_cone_and_pointedness_without_lp(lp_calls) -> None:
+    rays = [vec((1, 0, 0)), vec((0, 1, 0)), vec((1, 1, 1))]
+    assert cone(3, rays).rays == ((0, 1, 0), (1, 0, 0), (1, 1, 1))
+    assert is_pointed(3, rays)
+    assert lp_calls["prune"] == 0
+    # Four rays in R^3: three LPs, the third drops (1, 1, 0) and leaves
+    # independent rays, so the rank test skips the fourth.
+    assert cone(3, rays + [vec((1, 1, 0))]).rays == ((0, 1, 0), (1, 0, 0), (1, 1, 1))
+    assert lp_calls["prune"] == 3
+
+
+def test_a_cone_with_a_line_still_runs_the_lps(lp_calls) -> None:
+    rays = [vec((1, 0)), vec((-1, 0)), vec((0, 1))]
+    assert cone(2, rays).rays == ((-1, 0), (0, 1), (1, 0))
+    assert lp_calls["prune"] > 0
+    before = lp_calls["prune"]
+    assert not is_pointed(2, rays)
+    assert not is_pointed(2, rays[:2])
+    assert lp_calls["prune"] == before + 2
