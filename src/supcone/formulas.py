@@ -36,20 +36,20 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError, InternalCheckError, PreconditionError, RefusedError, SizingError
 from .functions import (
+    EMPTY_INTERVAL,
     ExtendedFunction,
     ImproperFunction,
     Interval,
     PolyhedralFunction,
     QuasiConvex1D,
     _interval_difference_point,
-    domain_generators,
+    _levels_around,
     eps_normal_set,
     evaluate,
     exact_subdifferential,
@@ -85,6 +85,7 @@ from .geometry import (
     vadd,
     vec,
     vscale,
+    vsub,
     zero_vec,
 )
 
@@ -572,13 +573,11 @@ class QCMember:
 class SublevelOracleQC:
     """Quasi-convex members with declared polyhedral zero-sublevel sets.
 
-    Construction cross-checks each declared set against its evaluator on the
-    declared vertices and a fixed half-integer lattice; any mismatch (in
-    particular a non-closed evaluator sublevel) is rejected. A lattice probe
-    y = c/2, c in {-2..2}^dim, is tested on ints: <n, c> <= 2*offset on each
-    halfspace's canonical int row (n, offset), and u = <direction, y> + shift
-    is keyed on k = <D*direction, c> with D the lcm of the direction's
-    denominators. Each member's evaluator is called once per distinct u.
+    Construction checks exactly that each declared set equals its
+    evaluator's zero-sublevel set (_check_declared_sublevel) and rejects any
+    mismatch. A declared set is closed, so an evaluator whose sublevel is
+    not closed is rejected too, and every accepted family has closed member
+    sublevels: cl[f <= 0] = cap_t [f_t <= 0] = cap_t cl[f_t <= 0] (cc3).
     """
 
     dim: int
@@ -594,46 +593,65 @@ class SublevelOracleQC:
             seen.add(m.ident)
             if m.sublevel.dim != self.dim or m.evaluator.dim != self.dim:
                 raise InputError(f"member {m.ident!r} dimension mismatch")
-        vertices: list[Vec] = []
         for m in self.members:
-            vertices.extend(domain_generators(m.sublevel).points)
-        lattice = list(itertools.product(range(-2, 3), repeat=self.dim))
-        for m in self.members:
-            _check_declared_sublevel(m, vertices, lattice)
+            _check_declared_sublevel(m)
 
 
-def _check_declared_sublevel(m: QCMember, vertices: list[Vec], lattice) -> None:
-    """Raise InputError at the first probe where m's declared sublevel and
-    its evaluator disagree: the vertices first, then the lattice points c,
-    each standing for the probe y = c/2."""
+def _check_declared_sublevel(m: QCMember) -> None:
+    """Raise InputError at the first candidate point where m's declared
+    sublevel D and its evaluator's sublevel E = {y : u in I} disagree, with
+    u = <d, y> + shift and I = zero_sublevel_interval(); accept when none does.
+
+    E is a cylinder: it contains every line orthogonal to d through its
+    points. A row of D with normal n not parallel to d is valid on D, so a
+    nonempty D has no such line and is not E. A point y of D (one LP) and
+    y + k*w, with w the part of n orthogonal to d and k the least integer
+    that breaks the row, share their u, and one of the two is a witness.
+    Otherwise D = {y : u in J}, with J read off the rows, and E differs from
+    D iff I from J, at one of _levels_around the finite ends of I and J,
+    the ends tried first; the level u stands for y = (u - shift) d / <d, d>.
+    """
     ev = m.evaluator
-    # Both evaluator types depend on y only through u, and many probes
-    # share a u: evaluate each u once.
-    values: dict[Fraction, object] = {}
-
-    def value(u: Fraction):
-        val = values.get(u)
-        if val is None:
-            val = values[u] = ev.value_at(u)
-        return val
-
-    for y in vertices:
-        val = value(dot(ev.direction, y) + ev.shift)
-        inside = poly_contains_point(m.sublevel, y)
+    d, sub = ev.direction, m.sublevel
+    dd = dot(d, d)
+    iv = ev.zero_sublevel_interval()
+    jv = Interval(None, False, None, False)
+    candidates: list[Vec] | None = None
+    for h in sub.halfspaces:
+        lam = dot(h.normal, d) / dd
+        w = vsub(h.normal, vscale(lam, d))
+        if any(w):
+            res = lp_solve(zero_vec(sub.dim), sub)
+            if res.status == lp.INFEASIBLE:
+                jv = EMPTY_INTERVAL
+            else:
+                candidates = [res.point, _step_past(res.point, w, h)]
+            break
+        if lam:
+            bound = h.offset / lam + ev.shift
+            jv = jv.intersect(
+                Interval(None, False, bound, True) if lam > 0 else Interval(bound, True, None, False)
+            )
+        elif h.offset < 0:
+            jv = EMPTY_INTERVAL
+    if candidates is None:
+        ends = {e for i in (iv, jv) if not i.is_empty for e in (i.lo, i.hi) if e is not None}
+        levels = sorted(_levels_around(ends), key=lambda u: (u not in ends, u))
+        candidates = [vscale((u - ev.shift) / dd, d) for u in levels]
+    for y in candidates:
+        val = ev.value_at(dot(d, y) + ev.shift)
+        inside = poly_contains_point(sub, y)
         if inside != (val <= 0):
             raise _disagreement(m, y, val, inside)
-    rows = [(h.normal, 2 * h.offset) for h in m.sublevel.halfspaces]
-    den = math.lcm(*(q.denominator for q in ev.direction))
-    dint = [q.numerator * (den // q.denominator) for q in ev.direction]
-    at_k: dict[int, object] = {}
-    for c in lattice:
-        k = sum(map(operator.mul, dint, c))
-        val = at_k.get(k)
-        if val is None:
-            val = at_k[k] = value(Fraction(k, 2 * den) + ev.shift)
-        inside = all(sum(map(operator.mul, n, c)) <= off for n, off in rows)
-        if inside != (val <= 0):
-            raise _disagreement(m, tuple(Fraction(ci, 2) for ci in c), val, inside)
+
+
+def _step_past(base: Vec, step: Vec, h: HalfSpace) -> Vec:
+    """base + k*step for the least integer k >= 0 with <h.normal, .> > h.offset;
+    <h.normal, step> must be positive unless base already breaks h."""
+    slack = h.offset - dot(h.normal, base)
+    if slack < 0:
+        return base
+    return vadd(base, vscale(slack // dot(h.normal, step) + 1, step))
 
 
 def _disagreement(m: QCMember, y: Vec, val, inside: bool) -> InputError:
@@ -655,22 +673,16 @@ class CcReport:
     witness: object | None = None
 
 
-def _interval_rows(direction: Vec, shift: Fraction, iv: Interval):
-    """(strict_rows, nonstrict_rows) for {x : <direction,x>+shift in iv}."""
-    strict: list[HalfSpace] = []
-    nonstrict: list[HalfSpace] = []
-    neg = vscale(Fraction(-1), direction)
+def _interval_rows(direction: Vec, shift: Fraction, iv: Interval) -> list[HalfSpace]:
+    """Rows of {x : <direction,x>+shift in cl iv}."""
     if iv.is_empty:
-        d = len(direction)
-        nonstrict.append(HalfSpace(zero_vec(d), Fraction(-1)))
-        return strict, nonstrict
+        return [HalfSpace(zero_vec(len(direction)), Fraction(-1))]
+    rows = []
     if iv.lo is not None:
-        row = HalfSpace(neg, shift - iv.lo)
-        (nonstrict if iv.lo_closed else strict).append(row)
+        rows.append(HalfSpace(vscale(Fraction(-1), direction), shift - iv.lo))
     if iv.hi is not None:
-        row = HalfSpace(direction, iv.hi - shift)
-        (nonstrict if iv.hi_closed else strict).append(row)
-    return strict, nonstrict
+        rows.append(HalfSpace(direction, iv.hi - shift))
+    return rows
 
 
 def _mixed_system_nonempty(dim: int, strict, nonstrict) -> bool:
@@ -682,18 +694,10 @@ def _mixed_system_nonempty(dim: int, strict, nonstrict) -> bool:
     return res.status == lp.OPTIMAL and res.value > 0
 
 
-def _closure_of_mixed(dim: int, strict, nonstrict) -> PolyhedronH:
-    """cl of a mixed strict/nonstrict system: the closed system when the
-    strict one is nonempty (convexity), the empty set otherwise."""
-    if not strict:
-        return polyhedron(dim, nonstrict)
-    if _mixed_system_nonempty(dim, strict, nonstrict):
-        return polyhedron(dim, list(strict) + list(nonstrict))
-    return polyhedron(dim, [HalfSpace(zero_vec(dim), Fraction(-1))])
-
-
 def _poly_difference_witness(big: PolyhedronH, small: PolyhedronH) -> Vec | None:
-    """A point of big outside small, assuming small is contained in big."""
+    """A point of big outside small, or None when big is inside small: the
+    maximizer of a row of small over big that breaks it, or a point of big
+    stepped along an unbounded ray past the row."""
     if is_empty_poly(big):
         return None
     if is_empty_poly(small):
@@ -702,11 +706,7 @@ def _poly_difference_witness(big: PolyhedronH, small: PolyhedronH) -> Vec | None
     for h in small.halfspaces:
         res = lp_solve(h.normal, big)
         if res.status == lp.UNBOUNDED:
-            base = res.point if res.point is not None else zero_vec(big.dim)
-            y = base
-            while dot(h.normal, y) <= h.offset:
-                y = vadd(y, res.ray)
-            return y
+            return _step_past(res.point, res.ray, h)
         if res.status == lp.OPTIMAL and res.value > h.offset:
             return res.point
     return None
@@ -722,40 +722,28 @@ def cc_condition_check(family_or_profiles) -> CcReport:
     evaluators). A SupFamily satisfies both without a computation: its
     members are polyhedral, hence lower semicontinuous, so each is its own
     lsc hull and cl[f <= 0] = [f <= 0] = cap_t [f_t <= 0], an intersection
-    of closed sets.
+    of closed sets. A SublevelOracleQC satisfies cc3 by construction (its
+    member sublevels are the closed declared sets), so only cc2 is
+    computed, against the sublevels of the evaluators' lsc hulls; both
+    sides are cut out by the end rows of closed intervals in each u.
     """
     if isinstance(family_or_profiles, SupFamily):
         return CcReport("cc2-holds", True, True)
 
     if isinstance(family_or_profiles, SublevelOracleQC):
         qc = family_or_profiles
-        strict: list[HalfSpace] = []
-        nonstrict: list[HalfSpace] = []
-        rhs3_parts: list[PolyhedronH] = []
+        rows: list[HalfSpace] = []
         rhs2_parts: list[PolyhedronH] = []
         for m in qc.members:
             ev = m.evaluator
-            iv = ev.zero_sublevel_interval()
-            s_rows, n_rows = _interval_rows(ev.direction, ev.shift, iv)
-            strict.extend(s_rows)
-            nonstrict.extend(n_rows)
-            rhs3_parts.append(_closure_of_mixed(qc.dim, s_rows, n_rows))
-            h_strict, h_rows = _interval_rows(
-                ev.direction, ev.shift, ev.hull_zero_sublevel_interval()
-            )
-            if h_strict:
-                raise InternalCheckError("hull sublevel should be closed")
-            rhs2_parts.append(polyhedron(qc.dim, h_rows))
-        lhs = _closure_of_mixed(qc.dim, strict, nonstrict)
-        rhs3 = intersect(*rhs3_parts)
+            rows.extend(_interval_rows(ev.direction, ev.shift, ev.zero_sublevel_interval()))
+            hull = ev.hull_zero_sublevel_interval()
+            rhs2_parts.append(polyhedron(qc.dim, _interval_rows(ev.direction, ev.shift, hull)))
+        lhs = polyhedron(qc.dim, rows)
         rhs2 = intersect(*rhs2_parts)
-        cc3 = poly_equal(lhs, rhs3)
-        cc2 = poly_equal(lhs, rhs2)
-        if cc2:
+        if poly_equal(lhs, rhs2):
             return CcReport("cc2-holds", True, True)
-        if cc3:
-            return CcReport("cc3-holds", False, True, _poly_difference_witness(rhs2, lhs))
-        return CcReport("fails", False, False, _poly_difference_witness(rhs3, lhs))
+        return CcReport("cc3-holds", False, True, _poly_difference_witness(rhs2, lhs))
 
     profiles = list(family_or_profiles)
     if not profiles or not all(isinstance(q, QuasiConvex1D) for q in profiles):
@@ -780,24 +768,17 @@ def cc_condition_check(family_or_profiles) -> CcReport:
     return CcReport("fails", False, False, _interval_difference_point(rhs3_iv, lhs_iv))
 
 
-def qc_sublevel_normal_cone(
-    qc: SublevelOracleQC, x: Vec, eps, require_cc: bool = True
-) -> FormulaResult:
+def qc_sublevel_normal_cone(qc: SublevelOracleQC, x: Vec, eps) -> FormulaResult:
     """Normal cone to the intersection of quasi-convex zero-sublevel sets:
-    the recession of the hull of the per-member eps-normal sets. Refuses to
-    run when closure compatibility (cc3) cannot be verified."""
+    the recession of the hull of the per-member eps-normal sets, read off
+    the declared rows active at x. The formula needs closure compatibility
+    (cc3), which every SublevelOracleQC has: construction checks that each
+    member's sublevel equals its closed declared polyhedron."""
     e = _positive_eps(eps)
     x = vec(x)
     for m in qc.members:
         if not poly_contains_point(m.sublevel, x):
             raise PreconditionError(f"x is outside the sublevel set of member {m.ident!r}")
-    if require_cc:
-        cc = cc_condition_check(qc)
-        if not cc.cc3_holds:
-            raise RefusedError(
-                f"closure compatibility failed (witness {cc.witness}); "
-                "the intersection formula is not justified for this family"
-            )
     rays = [r for m in qc.members for r in normal_cone_rays(m.sublevel, x)]
     return FormulaResult(cone(qc.dim, rays), e, "qc", True)
 

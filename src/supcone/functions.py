@@ -160,8 +160,7 @@ def epigraph_generators(f: PolyhedralFunction) -> GeneratorSet:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def domain_generators(domain: PolyhedronH) -> GeneratorSet:
-    """Generators of a domain. eps_normal_set reads them at every eps, and
-    the qc oracle reads its probe vertices here."""
+    """Generators of a domain; eps_normal_set reads them at every eps."""
     return h_to_v(domain)
 
 
@@ -421,15 +420,20 @@ def _qc1d_probe_levels(q: QuasiConvex1D) -> list[Fraction]:
             crit.add(left.value(b))
         if right is not None:
             crit.add(right.value(b))
+    return _levels_around(crit)
+
+
+def _levels_around(crit: set[Fraction]) -> list[Fraction]:
+    """The levels crit, the midpoint of each gap between consecutive ones,
+    and one level below and one above them all, ascending ([0] for no
+    crit). A set of levels whose membership can change only at crit, such
+    as a difference of intervals ending in crit, is nonempty iff it holds
+    one of these."""
     if not crit:
         return [Fraction(0)]
     levels = sorted(crit)
-    probes = list(levels)
-    probes.append(levels[0] - 1)
-    probes.append(levels[-1] + 1)
-    for a, b in zip(levels, levels[1:]):
-        probes.append((a + b) / 2)
-    return sorted(set(probes))
+    mids = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    return sorted(levels + mids + [levels[0] - 1, levels[-1] + 1])
 
 
 def _piece_sublevel_on(piece: Affine1 | None, lo, hi, c: Fraction) -> Interval:

@@ -26,6 +26,7 @@ from .functions import (
     ImproperFunction,
     PolyhedralFunction,
     QuasiConvex1D,
+    interval_equal,
 )
 from .errors import InputError
 from .geometry import (
@@ -214,10 +215,9 @@ def _random_profile_member(rng: random.Random, dim: int, x: Vec, ident: str) -> 
         u_star = rng.choice(anchors)
     shift = u_star - dot(a, x)
     ev = AffineComposed1D(a, shift, prof)
-    strict, rows = _interval_rows(a, shift, iv)
-    if strict or iv.is_empty:
+    if iv.is_empty or not interval_equal(iv, iv.closure()):
         raise InputError("declared sublevels must be closed and nonempty")
-    sub = polyhedron(dim, rows)
+    sub = polyhedron(dim, _interval_rows(a, shift, iv))
     return QCMember(ident, sub, ev)
 
 

@@ -23,6 +23,7 @@ from .errors import InputError, InternalCheckError, PreconditionError, SizingErr
 from .formulas import (
     FormulaResult,
     SGrid,
+    SmoothQCMember,
     SublevelOracleQC,
     SupFamily,
     frechet_outer_cone,
@@ -466,9 +467,10 @@ def check_necessary_qc(
     """Check the necessary condition theta in d f0(x) + N at a feasible x.
 
     A failed membership certifies x is not a minimizer (the condition is
-    necessary); a passing one is reported as condition-holds, with the
-    normal-cone part of the decomposition additionally checked against the
-    sampled gradient outer cone.
+    necessary); a passing one is reported as condition-holds. When every
+    constraint is smooth, the normal-cone part of the decomposition is also
+    checked against the sampled gradient outer cone (outer_verified); a
+    profile member has no gradient, and outer_verified stays None.
     """
     e = rat(eps)
     x = vec(prog.point)
@@ -483,10 +485,12 @@ def check_necessary_qc(
         return QCOptimalityReport(
             NOT_OPTIMAL, e, improving_point=improving, objective_at_point=fx
         )
-    fc = frechet_outer_cone(prog.constraints, x, e, samples_per_axis)
-    outer_ok = all(cone_contains(fc.cone, r) for r in kres.cone.rays) and (
-        all(c == 0 for c in cert.q) or cone_contains(fc.cone, cert.q)
-    )
+    outer_ok = None
+    if all(isinstance(m.evaluator, SmoothQCMember) for m in prog.constraints.members):
+        fc = frechet_outer_cone(prog.constraints, x, e, samples_per_axis)
+        outer_ok = all(cone_contains(fc.cone, r) for r in kres.cone.rays) and (
+            all(c == 0 for c in cert.q) or cone_contains(fc.cone, cert.q)
+        )
     return QCOptimalityReport(
         CONDITION_HOLDS,
         e,

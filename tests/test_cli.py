@@ -333,6 +333,39 @@ def test_cli_check_optimal(tmp_path, capsys) -> None:
     assert rec["certificate_ok"] is True
 
 
+def test_cli_qc_necessary_with_a_profile_member(tmp_path, capsys) -> None:
+    vee = {
+        "breakpoints": [0],
+        "pieces": [{"slope": -1, "intercept": 0}, {"slope": 1, "intercept": 0}],
+        "values": [0],
+    }
+    inst = {
+        "format_version": 1,
+        "kind": "qc-necessary",
+        "id": "vee",
+        "dim": 2,
+        "objective": {"type": "affine", "slope": [1, 0], "intercept": 0},
+        "members": [
+            {
+                "type": "profile",
+                "id": "v",
+                "direction": [1, 0],
+                "shift": 0,
+                "profile": vee,
+                "sublevel": [{"normal": [1, 0], "offset": 0}, {"normal": [-1, 0], "offset": 0}],
+            }
+        ],
+        "point": [0, 0],
+        "epsilon": "1/4",
+    }
+    path = write_inst(tmp_path, inst)
+    code = main(["check-optimal", path, "--format", "machine"])
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert code == 0
+    assert rec["verdict"] == "condition-holds"
+    assert "outer_verified" not in rec
+
+
 def test_cli_check_sip_inconclusive_exit_code(tmp_path, capsys) -> None:
     inst = {
         "format_version": 1,

@@ -9,7 +9,6 @@ import supcone.formulas as formulas
 from supcone.errors import InputError, PreconditionError, RefusedError
 from supcone.formulas import (
     AffineComposed1D,
-    CcReport,
     QCMember,
     SGrid,
     SmoothQCMember,
@@ -33,7 +32,7 @@ from supcone.functions import (
     affine_function,
     max_affine,
 )
-from supcone.generate import random_affine_family
+from supcone.generate import random_affine_family, random_qc_instance
 from supcone.geometry import (
     cone,
     cone_contains,
@@ -365,17 +364,25 @@ def test_qc_off_point_rejected() -> None:
         qc_sublevel_normal_cone(two_halfspace_qc(), vec((1, 1)), 1)
 
 
-def test_qc_refuses_when_cc_fails(monkeypatch) -> None:
-    # Validated oracles always pass cc3, so force the gate shut to check
-    # the refusal wiring.
-    qc = two_halfspace_qc()
-    fake = CcReport("fails", False, False, vec((0, 0)))
-    monkeypatch.setattr(formulas, "cc_condition_check", lambda _: fake)
-    with pytest.raises(RefusedError):
-        qc_sublevel_normal_cone(qc, vec((0, 0)), 1)
-    # With the gate off the cone still computes.
-    res = qc_sublevel_normal_cone(qc, vec((0, 0)), 1, require_cc=False)
-    assert cone_contains(res.cone, vec((1, 0)))
+def test_validated_qc_families_pass_cc3() -> None:
+    verdicts = set()
+    for seed in range(80):
+        qc = random_qc_instance(random.Random(7000 + seed)).qc
+        rep = cc_condition_check(qc)
+        assert rep.cc3_holds and rep.verdict in ("cc2-holds", "cc3-holds")
+        verdicts.add(rep.verdict)
+    assert "cc2-holds" in verdicts
+
+
+def test_open_member_sublevel_is_rejected_at_construction() -> None:
+    # [q <= 0] = (-inf, 0) along y1, declared as its closure y1 <= 0
+    ev = AffineComposed1D(vec((1, 0)), F(0), left_open_profile())
+    with pytest.raises(InputError) as exc:
+        SublevelOracleQC(2, (QCMember("m", polyhedron(2, [hs((1, 0), 0)]), ev),))
+    assert str(exc.value) == (
+        "member 'm': declared sublevel and evaluator disagree at "
+        "(0, 0) (value 1, declared inside)"
+    )
 
 
 def test_qc_oracle_rejects_mismatched_declaration() -> None:
@@ -386,21 +393,23 @@ def test_qc_oracle_rejects_mismatched_declaration() -> None:
 
 
 def test_qc_oracle_evaluates_each_u_once(monkeypatch) -> None:
-    # u = y1 takes 5 values on the 25 lattice probes of R^2, and the declared
-    # vertex of {y1 <= 0} adds none.
+    # u = y1 - 1 with sublevel {u <= 0}: the check reads the end u = 0 and
+    # one level on either side, whatever the dimension.
     calls = []
     real = SmoothQCMember.value_at
     monkeypatch.setattr(
         SmoothQCMember, "value_at", lambda self, u: calls.append(u) or real(self, u)
     )
-    m = smooth((1, 0), (0, 1), 0)
-    SublevelOracleQC(2, (QCMember("m", m.zero_sublevel(), m),))
-    assert sorted(calls) == [F(k, 2) for k in range(-2, 3)]
+    for dim in (2, 7):
+        calls.clear()
+        m = smooth((1,) + (0,) * (dim - 1), (0, 1), 0, shift=-1)
+        SublevelOracleQC(dim, (QCMember("m", m.zero_sublevel(), m),))
+        assert calls == [F(0), F(-1), F(1)]
 
 
 def test_qc_oracle_names_the_first_disagreeing_probe() -> None:
-    # Declared vertices are probed before the lattice: the generator point
-    # (1/4, 0) of {y1 <= 1/4} is inside, with u = 1/4 > 0.
+    # The ends of the two intervals in u are probed before the gaps between
+    # them: (1/4, 0), on the end of {y1 <= 1/4}, is inside, with u = 1/4 > 0.
     m = smooth((1, 0), (0, 1), 0)
     with pytest.raises(InputError) as exc:
         SublevelOracleQC(2, (QCMember("m", polyhedron(2, [hs((4, 0), 1)]), m),))
@@ -408,6 +417,21 @@ def test_qc_oracle_names_the_first_disagreeing_probe() -> None:
         "member 'm': declared sublevel and evaluator disagree at "
         "(1/4, 0) (value 1/4, declared inside)"
     )
+
+
+def test_difference_witness_steps_once_along_a_far_ray() -> None:
+    # the half-line y1 >= 0, y2 = 0 is unbounded along (1, 0); the
+    # closed-form step lands past the far row at once, on the point the
+    # unit-step loop reached
+    big = polyhedron(2, [hs((-1, 0), 0), hs((0, 1), 0), hs((0, -1), 0)])
+    far = polyhedron(2, [hs((1, 0), 10**9)])
+    assert formulas._poly_difference_witness(big, far) == vec((10**9 + 1, 0))
+    # <(2, 1), ray> = 2: the least k with 2k > 7 is 4
+    near = polyhedron(2, [hs((2, 1), 7)])
+    assert formulas._poly_difference_witness(big, near) == vec((4, 0))
+    # neither set holds the other: a point of the first outside the second
+    assert formulas._poly_difference_witness(near, big) == vec((-1, 9))
+    assert formulas._poly_difference_witness(far, far) is None
 
 
 def test_qc_oracle_rejects_duplicate_ids() -> None:

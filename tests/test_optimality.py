@@ -8,13 +8,14 @@ import pytest
 from supcone import functions
 from supcone.errors import InputError, PreconditionError
 from supcone.formulas import (
+    AffineComposed1D,
     QCMember,
     SmoothQCMember,
     SublevelOracleQC,
     family_from_functions,
     inclusion_witness_check,
 )
-from supcone.functions import affine_function, max_affine
+from supcone.functions import Affine1, QuasiConvex1D, affine_function, max_affine
 from supcone.generate import random_direction, random_point
 from supcone.geometry import halfspace, polyhedron
 from supcone.geometry.vec import dot, vec, vscale
@@ -356,6 +357,27 @@ def test_qc_necessary_off_domain_candidate() -> None:
     )
     with pytest.raises(PreconditionError):
         check_necessary_qc(prog, F(1, 4))
+
+
+def vee_line() -> SublevelOracleQC:
+    # |y1| <= 0 through a vee profile: the line y1 = 0, with no gradient
+    vee = QuasiConvex1D((F(0),), (Affine1(F(-1), F(0)), Affine1(F(1), F(0))), (F(0),))
+    ev = AffineComposed1D(vec((1, 0)), F(0), vee)
+    line = polyhedron(2, [hs((1, 0), 0), hs((-1, 0), 0)])
+    return SublevelOracleQC(2, (QCMember("v", line, ev),))
+
+
+def test_qc_necessary_with_a_profile_member() -> None:
+    # y1 is constant on the line: the condition holds, and the gradient
+    # outer estimate, which needs smooth members, is left out
+    origin = vec((0, 0))
+    holds = check_necessary_qc(QCProgram(affine_function((1, 0), 0), vee_line(), origin), F(1, 4))
+    assert holds.verdict == "condition-holds"
+    assert holds.certificate is not None
+    assert holds.outer_verified is None
+    # y1 + y2 falls along the line
+    flagged = check_necessary_qc(QCProgram(affine_function((1, 1), 0), vee_line(), origin), F(1, 4))
+    assert flagged.verdict == "not-optimal"
 
 
 # ------------------------------------------- d_0 f0(x) off the active pieces

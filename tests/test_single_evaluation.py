@@ -113,9 +113,10 @@ def test_cli_no_verify_skips_oracle(tmp_path, monkeypatch, command, source, flag
     assert compare_calls == []
 
 
-def test_cli_qc_converts_each_member_sublevel_once(tmp_path, monkeypatch):
-    # Loading the instance checks each declared sublevel at its vertices; the
-    # formula reads only the rows active at the point and converts nothing.
+def test_cli_qc_converts_no_member_sublevel(tmp_path, monkeypatch):
+    # Loading the instance checks each declared sublevel on the line of its
+    # evaluator's direction; the formula reads only the rows active at the
+    # point. Neither converts a member sublevel.
     path = gen_file(tmp_path, "qc")
     sublevels = [m.sublevel for m in load_instance(path)[2]["qc"].members]
     functions.domain_generators.cache_clear()
@@ -123,7 +124,7 @@ def test_cli_qc_converts_each_member_sublevel_once(tmp_path, monkeypatch):
 
     assert main(["qc", path, "--format", "machine"]) == 0
     converted = [args[0] for args, _ in calls]
-    assert [converted.count(s) for s in sublevels] == [1] * len(sublevels)
+    assert [converted.count(s) for s in sublevels] == [0] * len(sublevels)
 
 
 SUITE_CASES = [
