@@ -217,14 +217,14 @@ def test_fractional_direction_and_shift() -> None:
         m = fractional_smooth(direction, shift)
         assert decide_exactly(dim, [m]) is None
         accepted += 1
-        for d in (F(1, 6), F(-1, 4)) + SHIFTS:
+        for d in (F(1, 6), F(-1, 4), F(1, 2)):
             moved = replace(m, evaluator=replace(m.evaluator, shift=shift + d))
             assert decide_exactly(dim, [moved]) is not None
             rejected += 1
         for k in range(len(m.sublevel.halfspaces)):
             assert decide_exactly(dim, [flipped(m, k)]) is not None
             rejected += 1
-    assert rejected > 400 and accepted > 50
+    assert rejected > 200 and accepted > 50
 
 
 def test_off_lattice_declaration_is_rejected() -> None:
