@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification reports a violation (or the
-suite has failures), 2 on malformed input or unmet preconditions, 3 when an
-operation is refused or ends inconclusive.
+suite has failures), 2 on malformed input, unmet preconditions or a file that
+cannot be read or written, 3 when an operation is refused or ends
+inconclusive, 4 when an internal cross-check fails (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import instances, reports
-from .errors import InputError, RefusedError, SizingError
+from .errors import InputError, InternalCheckError, RefusedError, SizingError
 from .formulas import (
     dom_sup_normal_cone,
     qc_sublevel_normal_cone,
@@ -226,7 +227,10 @@ def _cmd_gen(args) -> int:
         raise InputError("--count must be positive")
     import random
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create --out-dir {args.out_dir}: {exc.strerror or exc}")
     written = []
     for i in range(args.count):
         rng = random.Random(args.seed * 1000003 + i)
@@ -257,9 +261,12 @@ def _cmd_gen(args) -> int:
                 "check-optimal", ident, program=g.program, epsilon=g.epsilon
             )
         path = os.path.join(args.out_dir, f"{ident}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}")
         written.append(path)
     for p in written:
         print(p)
@@ -287,6 +294,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 2, Inconclusive -> 3,
-verification violations -> 1. Everything else is a bug.
+The CLI maps these onto exit codes: InputError -> 2, RefusedError,
+SizingError and inconclusive verdicts -> 3, verification violations -> 1,
+InternalCheckError -> 4. Everything else is a bug.
 """
 
 

@@ -48,8 +48,10 @@ from .functions import (
     Interval,
     PolyhedralFunction,
     QuasiConvex1D,
+    _int_value,
     _interval_difference_point,
     _levels_around,
+    _piece_numerators,
     eps_normal_set,
     evaluate,
     exact_subdifferential,
@@ -88,6 +90,7 @@ from .geometry import (
     vsub,
     zero_vec,
 )
+from .geometry.vec import _int_point
 
 Member = ExtendedFunction
 
@@ -127,16 +130,19 @@ def family_from_functions(fns: Sequence[Member]) -> SupFamily:
 
 
 def evaluate_sup(family: SupFamily, x: Vec):
-    best = NEG_INF
+    """max of the member values at x, read on ints: each value is n / (D * q)
+    for the one q of x, and only the largest becomes a Fraction."""
+    xs, q = _int_point(x)
+    best = None
     for _, f in family.members:
-        v = evaluate(f, x)
+        v = _int_value(f, xs, q)
         if v == POS_INF:
             return POS_INF
         if v == NEG_INF:
             continue
-        if best == NEG_INF or v > best:
+        if best is None or v[0] * best[1] > best[0] * v[1]:
             best = v
-    return best
+    return NEG_INF if best is None else Fraction(best[0], best[1] * q)
 
 
 def _positive_eps(eps) -> Fraction:
@@ -262,12 +268,19 @@ def _sublevel_rays(family: SupFamily, x: Vec) -> list[Vec]:
     itself (functions.exact_subdifferential).
     """
     dim = family.dim
+    xs, q = _int_point(x)
     rays: list[Vec] = []
     for _, f in family.members:
         dom_rays = normal_cone_rays(f.domain, x) if f.domain.halfspaces else ()
         rays.extend(dom_rays)
-        if isinstance(f, PolyhedralFunction) and evaluate(f, x) == 0:
-            dirs = [p.slope for p in f.pieces if p.value(x) == 0 and any(p.slope)]
+        if not isinstance(f, PolyhedralFunction):
+            continue
+        # x is in dom f here, and each numerator has its piece's sign at x:
+        # f(x) = 0 iff the largest is 0. A piece's S is a positive multiple
+        # of its slope, the same direction to cone().
+        nums = _piece_numerators(f, xs, q)
+        if max(nums) == 0:
+            dirs = [p._ints[0] for p, n in zip(f.pieces, nums) if n == 0 and any(p._ints[0])]
             dirs.extend(dom_rays)
             if len(dirs) > 1 and not is_pointed(dim, dirs):
                 sub0 = exact_subdifferential(f, x)

@@ -28,19 +28,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import InputError, InternalCheckError, PreconditionError, RefusedError
 from .geometry import (
     GeneratorSet,
     HalfSpace,
+    NEG_INF,
     POS_INF,
     PolyhedronH,
     Vec,
     cone,
     cone_rays,
-    dot,
     empty_generators,
     generators,
     h_to_v,
@@ -54,6 +56,8 @@ from .geometry import (
     whole_space,
     zero_vec,
 )
+from .geometry.sets import _contains_at, _row_values
+from .geometry.vec import _int_point
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,21 @@ class AffinePiece:
     slope: Vec
     intercept: Fraction
 
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int, int]:
+        """(S, B, D) with slope = S / D, intercept = B / D and D > 0: at
+        y = Y / q the value is (<S, Y> + B * q) / (D * q). Not a field, so
+        eq, hash and repr never see it."""
+        d = lcm(self.intercept.denominator, *(c.denominator for c in self.slope))
+        s = tuple(c.numerator * (d // c.denominator) for c in self.slope)
+        return s, self.intercept.numerator * (d // self.intercept.denominator), d
+
     def value(self, y: Vec) -> Fraction:
-        return dot(self.slope, y) + self.intercept
+        if len(self.slope) != len(y):
+            raise InputError(f"dimension mismatch: {len(self.slope)} vs {len(y)}")
+        ys, q = _int_point(y)
+        s, b, d = self._ints
+        return Fraction(sum(map(mul, s, ys)) + b * q, d * q)
 
 
 @dataclass(frozen=True)
@@ -124,18 +141,47 @@ def indicator(domain: PolyhedronH) -> PolyhedralFunction:
 
 def evaluate(f: ExtendedFunction, y: Vec):
     """Exact value; +inf/-inf are float sentinels used for comparison only."""
+    ys, q = _int_point(y)
+    v = _int_value(f, ys, q)
+    return v if isinstance(v, float) else Fraction(v[0], v[1] * q)
+
+
+def _piece_numerators(f: PolyhedralFunction, ys: Sequence[int], q: int) -> list[int]:
+    """<S, ys> + B * q per piece (S, B, D): the piece's value at y = ys / q
+    times D * q > 0, so of the value's sign; ys must have length f.dim."""
+    return [sum(map(mul, s, ys)) + b * q for s, b, _ in (p._ints for p in f.pieces)]
+
+
+def _top(f: PolyhedralFunction, nums: Sequence[int]) -> tuple[int, int]:
+    """(n, D) of the first piece with the largest value n / (D * q)."""
+    best = nums[0], f.pieces[0]._ints[2]
+    for p, n in zip(f.pieces, nums):
+        d = p._ints[2]
+        if n * best[1] > best[0] * d:
+            best = n, d
+    return best
+
+
+def _int_value(f: ExtendedFunction, ys: Sequence[int], q: int):
+    """f(ys / q) as (n, D), meaning n / (D * q), or a float sentinel."""
     if isinstance(f, ImproperFunction):
-        return float("-inf") if poly_contains_point(f.domain, y) else POS_INF
-    if not poly_contains_point(f.domain, y):
+        return NEG_INF if _contains_at(f.domain, ys, q) else POS_INF
+    if len(ys) != f.dim:
+        raise InputError(f"dimension mismatch: {f.dim} vs {len(ys)}")
+    if not _contains_at(f.domain, ys, q):
         return POS_INF
-    return max(p.value(y) for p in f.pieces)
+    return _top(f, _piece_numerators(f, ys, q))
 
 
 def sublevel_set(f: PolyhedralFunction, level) -> PolyhedronH:
     """[f <= level] = domain cut by every piece at the level."""
     c = rat(level)
     hs = list(f.domain.halfspaces)
-    hs.extend(HalfSpace(p.slope, c - p.intercept) for p in f.pieces)
+    # <S, y> + B <= c * D, scaled by the level's denominator: a positive
+    # multiple of the row (slope, c - intercept) on ints
+    cn, cd = c.numerator, c.denominator
+    for s, b, d in (p._ints for p in f.pieces):
+        hs.append(HalfSpace(tuple(x * cd for x in s), cn * d - b * cd))
     return polyhedron(f.dim, hs)
 
 
@@ -182,13 +228,10 @@ def normal_cone_rays(domain: PolyhedronH, x: Vec) -> tuple[tuple[int, ...], ...]
     of the meet of its polar, inequality_cone(cone_rays(active)), the same
     meet the intersection form takes for a cone with a line.
     """
-    active = []
-    for h in domain.halfspaces:
-        v = dot(h.normal, x)
-        if v > h.offset:
-            raise PreconditionError("x is outside the domain")
-        if v == h.offset:
-            active.append(h.normal)
+    vals = _row_values(domain, *_int_point(x))
+    if any(v > 0 for v in vals):
+        raise PreconditionError("x is outside the domain")
+    active = [h.normal for h, v in zip(domain.halfspaces, vals) if v == 0]
     if is_pointed(domain.dim, active):
         return cone(domain.dim, active).rays
     return inequality_cone(cone_rays(active, domain.dim), domain.dim).rays
@@ -240,13 +283,15 @@ def exact_subdifferential(f: PolyhedralFunction, x: Vec) -> GeneratorSet:
     if len(x) != f.dim:
         raise InputError("point dimension mismatch")
     x = tuple(x)
-    fx = evaluate(f, x)
-    if fx == POS_INF:
+    xs, q = _int_point(x)
+    if not _contains_at(f.domain, xs, q):
         return empty_generators(f.dim)
     rays = normal_cone_rays(f.domain, x) if f.domain.halfspaces else ()
     if len(rays) > 1 and not is_pointed(f.dim, rays):
         return eps_subdifferential(f, x, 0)
-    slopes = [p.slope for p in f.pieces if p.value(x) == fx]
+    nums = _piece_numerators(f, xs, q)
+    n, d = _top(f, nums)
+    slopes = [p.slope for p, m in zip(f.pieces, nums) if m * d == n * p._ints[2]]
     return generators(f.dim, slopes, rays)
 
 

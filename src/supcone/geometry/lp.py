@@ -18,6 +18,13 @@ rhs/entry quotients by cross-multiplication (a row's denominator cancels in
 its own quotient). Rationals enter as ints or Fractions and leave as
 Fractions, so the exact pivots, and therefore every result, are those of a
 Fraction tableau.
+
+A zero cost makes the solve a pure feasibility question (Chvatal, Linear
+Programming, 1983, ch. 8), and it ends with phase 1: the basic point phase 1
+ends on is returned as the optimum, with value 0. The two-phase path would
+return the same point. Its drive-out pivots act on rows whose right-hand
+side is 0, so they move no basic value, and a zero reduced-cost row admits
+no phase-2 pivot.
 """
 
 from __future__ import annotations
@@ -162,6 +169,13 @@ def solve_min_eq(
     _run(tab, den, basis, ncols)
     if tab[m][ncols] != 0:
         return EqLpResult(INFEASIBLE)
+    if not any(cost):
+        # A feasibility question: the phase-1 basic point is the answer.
+        z = [_ZERO] * n
+        for i in range(m):
+            if basis[i] < n:
+                z[basis[i]] = Fraction(tab[i][ncols], den[i])
+        return EqLpResult(OPTIMAL, point=z, value=_ZERO)
 
     # Drive leftover artificials out of the basis; a row with no real pivot
     # candidate is a redundant constraint and gets dropped.

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from ..errors import InputError, InternalCheckError
@@ -41,6 +42,7 @@ from . import lp
 from .dd import cone_rays
 from .vec import (
     Vec,
+    _int_point,
     divide_gcd,
     dot,
     is_zero_vec,
@@ -255,7 +257,21 @@ def is_empty_poly(poly: PolyhedronH) -> bool:
 
 
 def poly_contains_point(poly: PolyhedronH, x: Vec) -> bool:
-    return all(dot(h.normal, x) <= h.offset for h in poly.halfspaces)
+    return _contains_at(poly, *_int_point(x))
+
+
+def _contains_at(poly: PolyhedronH, xs: Sequence[int], q: int) -> bool:
+    """poly_contains_point at x = xs / q."""
+    return all(v <= 0 for v in _row_values(poly, xs, q))
+
+
+def _row_values(poly: PolyhedronH, xs: Sequence[int], q: int) -> list:
+    """<normal, xs> - offset * q per row: the sign of <normal, x> - offset
+    at x = xs / q with q > 0, on ints for canonical rows."""
+    hs = poly.halfspaces
+    if hs and len(hs[0].normal) != len(xs):
+        raise InputError(f"dimension mismatch: {len(hs[0].normal)} vs {len(xs)}")
+    return [sum(map(mul, h.normal, xs)) - h.offset * q for h in hs]
 
 
 def intersect(*polys: PolyhedronH) -> PolyhedronH:

@@ -1,13 +1,16 @@
 """Exact rational scalars and fixed-length vectors.
 
-Directions are primitive int tuples; points and scalars are Fractions.
+Directions are primitive int tuples. Points and scalars are Fractions at the
+API boundary: what callers pass and what the public functions return.
 Fractions keep values in lowest terms with a positive denominator, and a
 Python int is an integral rational with the same numerator, denominator,
 hash, order and equality as the Fraction of the same value, so the helpers
 below take either and never round or touch floats. The canonical
 constructors in sets.py store every ray and halfspace row as the int tuple
 primitive_ints returns, and the exact kernels (the double description in
-dd.py and the simplex in lp.py) run on ints.
+dd.py and the simplex in lp.py) run on ints. A sign test at a point x reads
+x once as int numerators over one positive denominator (_int_point), so
+<n, x> - offset has the sign of the int <n, X> - offset * q.
 """
 
 from __future__ import annotations
@@ -99,6 +102,12 @@ def primitive_ints(a: Sequence[Fraction]) -> tuple[int, ...]:
     """
     mult = lcm(*(x.denominator for x in a))
     return divide_gcd([x.numerator * (mult // x.denominator) for x in a])
+
+
+def _int_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(X, q) with x = X / q and q > 0 the lcm of the denominators."""
+    q = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (q // c.denominator) for c in x), q
 
 
 def divide_gcd(xs: list[int]) -> tuple[int, ...]:

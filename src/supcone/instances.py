@@ -336,6 +336,10 @@ def load_instance(path: str):
         raise InputError(f"instance file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
+    except OSError as exc:
+        raise InputError(f"cannot read instance file {path}: {exc.strerror or exc}")
     return parse_instance(data)
 
 

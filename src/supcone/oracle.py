@@ -26,11 +26,11 @@ from .geometry import (
     Vec,
     cone,
     cone_contains,
-    dot,
     intersect,
-    poly_contains_point,
     rat,
 )
+from .geometry.sets import _row_values
+from .geometry.vec import _int_point
 
 EQUAL = "equal"
 INSIDE = "formula-strictly-inside"
@@ -39,9 +39,10 @@ VIOLATION = "violation"
 
 def polyhedron_normal_cone(poly: PolyhedronH, x: Vec) -> ConeGen:
     """N_P(x) = cone of the normals of the constraints tight at x."""
-    if not poly_contains_point(poly, x):
+    vals = _row_values(poly, *_int_point(x))
+    if any(v > 0 for v in vals):
         raise PreconditionError("normal cone requested at a point outside the polyhedron")
-    tight = [h.normal for h in poly.halfspaces if dot(h.normal, x) == h.offset]
+    tight = [h.normal for h, v in zip(poly.halfspaces, vals) if v == 0]
     return cone(poly.dim, tight)
 
 

@@ -272,5 +272,8 @@ def write_report(text: str, out: str | None) -> None:
     if out is None:
         print(text, end="")
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write report {out}: {exc.strerror or exc}")

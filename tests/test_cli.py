@@ -538,3 +538,79 @@ def test_importing_the_cli_leaves_the_suite_module_unloaded() -> None:
     code = "import sys, supcone.cli; sys.exit('supcone.suites' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# ------------------------------------------------- files that cannot be used
+
+
+def one_error_line(captured, prefix="error: ") -> str:
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_cli_directory_as_instance_is_input_error(tmp_path, capsys) -> None:
+    code = main(["normal-cone", str(tmp_path)])
+    err = one_error_line(capsys.readouterr())
+    assert code == 2
+    assert err == f"error: cannot read instance file {tmp_path}: Is a directory\n"
+
+
+def test_cli_non_utf8_instance_is_input_error(tmp_path, capsys) -> None:
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(corner_instance(ident="café"), ensure_ascii=False).encode("latin-1"))
+    code = main(["normal-cone", str(path)])
+    err = one_error_line(capsys.readouterr())
+    assert code == 2
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+def test_cli_unreadable_instance_is_input_error(tmp_path, capsys, monkeypatch) -> None:
+    # chmod cannot make a file unreadable to a superuser, so the open itself
+    # is made to fail as it does for an unprivileged user
+    from supcone import instances
+
+    path = write_inst(tmp_path, corner_instance())
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    monkeypatch.setattr(instances, "open", denied, raising=False)
+    code = main(["normal-cone", path])
+    err = one_error_line(capsys.readouterr())
+    assert code == 2
+    assert err == f"error: cannot read instance file {path}: Permission denied\n"
+
+
+def test_cli_report_into_a_missing_directory_is_input_error(tmp_path, capsys) -> None:
+    path = write_inst(tmp_path, corner_instance())
+    out = tmp_path / "no-such-dir" / "rep.json"
+    code = main(["normal-cone", path, "--format", "machine", "--out", str(out)])
+    err = one_error_line(capsys.readouterr())
+    assert code == 2
+    assert err == f"error: cannot write report {out}: No such file or directory\n"
+
+
+def test_cli_gen_out_dir_naming_a_file_is_input_error(tmp_path, capsys) -> None:
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["gen", "affine", "--seed", "1", "--out-dir", str(taken)])
+    err = one_error_line(capsys.readouterr())
+    assert code == 2
+    assert err == f"error: cannot create --out-dir {taken}: File exists\n"
+
+
+def test_cli_internal_check_error_exits_4(tmp_path, capsys, monkeypatch) -> None:
+    from supcone import cli
+    from supcone.errors import InternalCheckError
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("planted cross-check failure")
+
+    monkeypatch.setattr(cli, "sublevel_normal_cone_formula", broken)
+    path = write_inst(tmp_path, corner_instance())
+    code = main(["normal-cone", path, "--format", "machine"])
+    err = one_error_line(capsys.readouterr(), prefix="internal error: ")
+    assert code == 4
+    assert err == "internal error: planted cross-check failure\n"
