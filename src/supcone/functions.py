@@ -175,14 +175,18 @@ def _int_value(f: ExtendedFunction, ys: Sequence[int], q: int):
 
 def sublevel_set(f: PolyhedralFunction, level) -> PolyhedronH:
     """[f <= level] = domain cut by every piece at the level."""
-    c = rat(level)
-    hs = list(f.domain.halfspaces)
-    # <S, y> + B <= c * D, scaled by the level's denominator: a positive
-    # multiple of the row (slope, c - intercept) on ints
+    return polyhedron(f.dim, [*f.domain.halfspaces, *_piece_rows(f, rat(level))])
+
+
+def _piece_rows(f: PolyhedralFunction, c: Fraction) -> list[HalfSpace]:
+    """One row per piece of [f <= c], before canonicalization: <S, y> + B
+    <= c * D, scaled by the level's denominator, a positive multiple of the
+    row (slope, c - intercept) on ints."""
     cn, cd = c.numerator, c.denominator
-    for s, b, d in (p._ints for p in f.pieces):
-        hs.append(HalfSpace(tuple(x * cd for x in s), cn * d - b * cd))
-    return polyhedron(f.dim, hs)
+    return [
+        HalfSpace(tuple(x * cd for x in s), cn * d - b * cd)
+        for s, b, d in (p._ints for p in f.pieces)
+    ]
 
 
 # Entries per cache. All key on frozen dataclasses, so the bound keeps a long

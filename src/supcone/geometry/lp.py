@@ -25,6 +25,14 @@ ends on is returned as the optimum, with value 0. The two-phase path would
 return the same point. Its drive-out pivots act on rows whose right-hand
 side is 0, so they move no basic value, and a zero reduced-cost row admits
 no phase-2 pivot.
+
+A yes/no cone question (is a vector a nonnegative combination of others?)
+goes to nonneg_feasible, which takes int columns and builds the same
+phase-1 tableau with every row denominator 1: no lcm, no Fraction, and the
+answer is the sign of the final objective row's right-hand side. One
+tableau set-up (_phase1) and one pivot loop (_run, _pivot) serve both
+entries. solve_nonneg_combination and solve_min_eq remain for callers that
+read multipliers, points or values.
 """
 
 from __future__ import annotations
@@ -134,6 +142,55 @@ def _objective_row(
     return out, d
 
 
+def _phase1(
+    rows: list[list[int]], den: list[int], obj: list[int], obj_den: int
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Phase 1 from the rows (A_i, b_i) / den_i, each with b_i >= 0, and
+    obj / obj_den = minus their sum: one artificial column per row, Bland's
+    rule to the end. Returns (tab, den, basis); the problem is feasible iff
+    the objective row ends with a zero right-hand side."""
+    m = len(rows)
+    n = len(obj) - 1
+    ncols = n + m
+    tab: list[list[int]] = []
+    for i, r in enumerate(rows):
+        row = r[:n] + [0] * (m + 1)
+        row[n + i] = den[i]
+        row[ncols] = r[n]
+        tab.append(row)
+    tab.append(obj[:n] + [0] * m + [obj[n]])
+    den = [*den, obj_den]
+    basis = list(range(n, ncols))
+    _run(tab, den, basis, ncols)
+    return tab, den, basis
+
+
+def nonneg_feasible(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Is target = sum_i mu_i * columns[i] for some mu >= 0?
+
+    Columns and target are int vectors of one length; a positive multiple
+    of a column or of the target has the same answer, so callers pass
+    primitive ints. This is phase 1 alone, on ints from the first row: each
+    row (c_1[k], ..., c_n[k], target[k]) is negated when target[k] < 0, every
+    row denominator is 1 and the objective row is minus the column sums.
+    The answer is read off the final phase-1 objective row, as a Farkas
+    vector for an infeasible answer would be.
+    """
+    if not any(target):
+        return True
+    if not columns:
+        return False
+    m = len(target)
+    if any(len(c) != m for c in columns):
+        raise ValueError("column length does not match target length")
+    rows = [
+        [*row, t] if t >= 0 else [*(-x for x in row), -t]
+        for row, t in zip(zip(*columns), target)
+    ]
+    tab, _, _ = _phase1(rows, [1] * m, [-sum(c) for c in zip(*rows)], 1)
+    return tab[m][-1] == 0
+
+
 def solve_min_eq(
     rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
@@ -146,27 +203,18 @@ def solve_min_eq(
             raise ValueError("row length does not match cost length")
     m = len(rows)
 
-    # Phase 1: artificial basis, minimize the artificial mass. Each row
-    # (A_i, e_i, b_i) is scaled to integers, with b_i >= 0.
-    ncols = n + m
-    tab: list[list[int]] = []
+    # Phase 1 on the rows (A_i, b_i) scaled to integers, with b_i >= 0.
+    nums: list[list[int]] = []
     den: list[int] = []
     for i in range(m):
         vals = [*rows[i], rhs[i]]
         d = lcm(*(x.denominator for x in vals))
-        nums = [x.numerator * (d // x.denominator) for x in vals]
-        if nums[-1] < 0:
-            nums = [-x for x in nums]
-        row = nums[:n] + [0] * (m + 1)
-        row[n + i] = d
-        row[ncols] = nums[n]
-        tab.append(row)
+        row = [x.numerator * (d // x.denominator) for x in vals]
+        nums.append([-x for x in row] if row[n] < 0 else row)
         den.append(d)
-    basis = [n + i for i in range(m)]
-    obj, d = _objective_row(tab, den, [1] * m, [0] * n + [1] * m + [0])
-    tab.append(obj)
-    den.append(d)
-    _run(tab, den, basis, ncols)
+    obj, d = _objective_row(nums, den, [1] * m, [0] * (n + 1))
+    tab, den, basis = _phase1(nums, den, obj, d)
+    ncols = n + m
     if tab[m][ncols] != 0:
         return EqLpResult(INFEASIBLE)
     if not any(cost):
@@ -226,6 +274,8 @@ def solve_nonneg_combination(
     """Find mu >= 0 with sum_i mu_i * columns[i] = target, or None.
 
     Columns and target live in the same R^d; this is a pure phase-1 solve.
+    For callers that read the multipliers; a yes/no question goes to
+    nonneg_feasible.
     """
     d = len(target)
     if not columns:

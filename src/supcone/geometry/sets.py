@@ -25,9 +25,14 @@ is its extreme rays: a generator is kept iff no other generator has a
 strictly larger set of tight rows, a bitmask test with no LP. h_to_v runs it
 even with minimal=False, which only turns off the pruning LPs. Everywhere
 else (rows of lower rank, and generators(...) or cone(..., minimal=True) on
-generators of unknown origin) rays are pruned one LP per ray, which stops as
-soon as the rays still kept are linearly independent (an integer rank test),
-and points one LP per point. Both give the same canonical output.
+generators of unknown origin) rays are pruned one int phase-1 LP
+(lp.nonneg_feasible) per ray, which stops as soon as the rays still kept are
+linearly independent (an integer rank test), and points one per point. Both
+give the same canonical output.
+
+Every yes/no cone question (a redundant ray or point, cone_contains,
+is_pointed) is one lp.nonneg_feasible call on primitive int columns: none of
+these answers builds a Fraction.
 """
 
 from __future__ import annotations
@@ -139,7 +144,7 @@ def generators(dim: int, points: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -
 
     Also drops generators that do not change the set: a ray inside the cone
     of the remaining rays, a point inside the hull of the remaining
-    generators. One small LP per point, and one per ray until the rays
+    generators. One int phase-1 LP per point, and one per ray until the rays
     still kept are linearly independent (see _prune_rays); h_to_v replaces
     these LPs by a tight-row test when its homogenized rows have full rank.
     """
@@ -154,13 +159,16 @@ def generators(dim: int, points: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -
         return GeneratorSet(dim, (), ())
     rys = _prune_rays(rys)
     if len(pts) > 1:
+        # (p, 1) and its primitive int form are positive multiples: the
+        # same question for the LP.
         keep_pts: list[Vec] = list(pts)
+        lifted = [primitive_ints(p + (1,)) for p in keep_pts]
+        recs = [r + (0,) for r in rys]
         i = 0
         while i < len(keep_pts):
-            others = keep_pts[:i] + keep_pts[i + 1 :]
-            cols = [q + (1,) for q in others] + [r + (0,) for r in rys]
-            if lp.solve_nonneg_combination(cols, keep_pts[i] + (1,)) is not None:
+            if lp.nonneg_feasible(lifted[:i] + lifted[i + 1 :] + recs, lifted[i]):
                 keep_pts.pop(i)
+                lifted.pop(i)
             else:
                 i += 1
         pts = keep_pts
@@ -177,7 +185,8 @@ def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
 
 def _prune_rays(rays: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The rays left after dropping, in order, each one inside the cone of
-    the others still kept: one LP per ray tested.
+    the others still kept: one int phase-1 LP (lp.nonneg_feasible) per ray
+    tested.
 
     Before the first LP and after each drop, an integer rank test ends the
     loop: linearly independent rays have none in the span of the others, so
@@ -191,7 +200,7 @@ def _prune_rays(rays: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     while i < len(kept):
         if changed and len(kept) <= len(kept[0]) and _int_rank(kept) == len(kept):
             break
-        if lp.solve_nonneg_combination(kept[:i] + kept[i + 1 :], kept[i]) is not None:
+        if lp.nonneg_feasible(kept[:i] + kept[i + 1 :], kept[i]):
             kept.pop(i)
             changed = True
         else:
@@ -443,19 +452,23 @@ def support_function(a: GeneratorSet, direction: Vec):
 
 
 def cone_contains(c: ConeGen, v: Vec) -> bool:
+    """Is v in cone(c.rays)? One int phase-1 LP on v's primitive form."""
     if len(v) != c.dim:
         raise InputError("vector dimension mismatch")
-    return lp.solve_nonneg_combination(list(c.rays), v) is not None
+    return lp.nonneg_feasible(c.rays, primitive_ints(v))
 
 
 def is_pointed(dim: int, rays: Sequence[Vec]) -> bool:
-    """Does cone(rays) hold no line? Linearly independent rays (an integer
-    rank test) generate a pointed cone; no rays give the zero cone.
-    Otherwise, for nonzero rays, it holds a line iff 0 is in conv(rays):
-    one phase-1 LP. A zero ray lowers the rank and reaches the LP."""
-    if len(rays) <= dim and _int_rank([primitive_ints(tuple(r)) for r in rays]) == len(rays):
+    """Does cone(rays) hold no line? Zero rays do not change the cone and
+    are dropped first. Linearly independent rays (an integer rank test)
+    generate a pointed cone; no rays give the zero cone. Otherwise cone(rays)
+    holds a line iff 0 is in conv(rays): one int phase-1 LP, on each ray's
+    primitive form (a positive multiple of a ray leaves that answer as it
+    is)."""
+    ints = [p for p in (primitive_ints(tuple(r)) for r in rays) if any(p)]
+    if len(ints) <= dim and _int_rank(ints) == len(ints):
         return True
-    return lp.solve_nonneg_combination([tuple(r) + (1,) for r in rays], (0,) * dim + (1,)) is None
+    return not lp.nonneg_feasible([r + (1,) for r in ints], (0,) * dim + (1,))
 
 
 def cone_equal(a: ConeGen, b: ConeGen) -> bool:

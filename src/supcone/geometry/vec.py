@@ -98,8 +98,12 @@ def primitive_ints(a: Sequence[Fraction]) -> tuple[int, ...]:
 
     Clears denominators, divides by the gcd of the absolute numerators, and
     keeps the orientation (rays and halfspace normals are scale-invariant
-    under positive factors only). The zero vector maps to zeros.
+    under positive factors only). The zero vector maps to zeros. An all-int
+    input (every canonical ray and row) has nothing to clear and goes
+    straight to divide_gcd; bools take the Fraction path and leave as ints.
     """
+    if all(type(x) is int for x in a):
+        return divide_gcd(list(a))
     mult = lcm(*(x.denominator for x in a))
     return divide_gcd([x.numerator * (mult // x.denominator) for x in a])
 

@@ -18,7 +18,7 @@ from .errors import InputError, PreconditionError
 from .functions import (
     ImproperFunction,
     PolyhedralFunction,
-    sublevel_set,
+    _piece_rows,
 )
 from .geometry import (
     ConeGen,
@@ -27,6 +27,7 @@ from .geometry import (
     cone,
     cone_contains,
     intersect,
+    polyhedron,
     rat,
 )
 from .geometry.sets import _row_values
@@ -49,21 +50,29 @@ def polyhedron_normal_cone(poly: PolyhedronH, x: Vec) -> ConeGen:
 def sup_sublevel_polyhedron(members, level=0) -> PolyhedronH:
     """[sup_t f_t <= level] for a family of polyhedral members.
 
-    Proper members contribute their sublevel polyhedra, improper members
-    their domains (the value is -inf there, below any finite level).
+    Proper members contribute their domain rows and one row per piece at the
+    level, improper members their domain rows (the value is -inf there, below
+    any finite level). One polyhedron() call canonicalizes all of them: the
+    same PolyhedronH as intersecting the members' sublevel_set polyhedra,
+    with each row made primitive once.
     """
     c = rat(level)
-    polys = []
+    rows = []
+    dims = set()
     for f in members:
         if isinstance(f, ImproperFunction):
-            polys.append(f.domain)
+            rows.extend(f.domain.halfspaces)
         elif isinstance(f, PolyhedralFunction):
-            polys.append(sublevel_set(f, c))
+            rows.extend(f.domain.halfspaces)
+            rows.extend(_piece_rows(f, c))
         else:
             raise InputError(f"unsupported member type {type(f).__name__}")
-    if not polys:
+        dims.add(f.dim)
+    if not dims:
         raise InputError("a family needs at least one member")
-    return intersect(*polys)
+    if len(dims) != 1:
+        raise InputError("cannot intersect polyhedra of different dimensions")
+    return polyhedron(dims.pop(), rows)
 
 
 def dom_polyhedron(members) -> PolyhedronH:

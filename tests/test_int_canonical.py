@@ -94,7 +94,8 @@ def ref_cone(dim, rays=(), minimal=True):
 
 
 def ref_is_pointed(dim, rays):
-    cols = [tuple(r) + (F(1),) for r in rays]
+    # zero rays do not change the cone; dropped as ref_cone drops them
+    cols = [tuple(r) + (F(1),) for r in rays if not is_zero_vec(tuple(r))]
     return lp.solve_nonneg_combination(cols, zero_vec(dim) + (F(1),)) is None
 
 

@@ -227,8 +227,11 @@ def epigraph_poly(f: PolyhedralFunction) -> PolyhedronH:
 
 @pytest.fixture
 def lp_calls(monkeypatch):
+    # A yes/no LP (nonneg_feasible) is both a pruning LP and a solve: it
+    # counts under both keys, as solve_nonneg_combination and the
+    # solve_min_eq under it do.
     calls = {"prune": 0, "solve": 0}
-    prune, solve = lp.solve_nonneg_combination, lp.solve_min_eq
+    prune, solve, feasible = lp.solve_nonneg_combination, lp.solve_min_eq, lp.nonneg_feasible
 
     def counted_prune(*args, **kwargs):
         calls["prune"] += 1
@@ -238,8 +241,14 @@ def lp_calls(monkeypatch):
         calls["solve"] += 1
         return solve(*args, **kwargs)
 
+    def counted_feasible(*args, **kwargs):
+        calls["prune"] += 1
+        calls["solve"] += 1
+        return feasible(*args, **kwargs)
+
     monkeypatch.setattr(lp, "solve_nonneg_combination", counted_prune)
     monkeypatch.setattr(lp, "solve_min_eq", counted_solve)
+    monkeypatch.setattr(lp, "nonneg_feasible", counted_feasible)
     return calls
 
 
