@@ -83,6 +83,7 @@ from .geometry import (
     poly_contains_point,
     poly_equal,
     polyhedron,
+    primitive_ints,
     rat,
     vadd,
     vec,
@@ -370,7 +371,6 @@ def sublevel_normal_cone_intersection(
     family: SupFamily,
     x: Vec,
     eps_list: Sequence,
-    grid: SGrid | None = None,
     mode: str = "auto",
 ) -> IntersectionResult:
     """The intersection form: recession of the intersection of the per-eps
@@ -384,7 +384,8 @@ def sublevel_normal_cone_intersection(
     what cone() keeps. A C with a line has many, and its generators stay
     those of the meet of its polar, inequality_cone(cone_rays(C)).
     stabilized (dropping the last eps keeps the intersection) holds iff
-    there is an eps to drop: len > 1."""
+    there is an eps to drop: len > 1. A sampled per-eps result reports the
+    default grid, which cannot change the cone either."""
     eps_vals = [rat(v) for v in eps_list]
     if not eps_vals:
         raise InputError("need at least one eps value")
@@ -393,7 +394,7 @@ def sublevel_normal_cone_intersection(
     e, x, mode = _check_sublevel_input(family, x, eps_vals[0], mode)
     coneg = cone(family.dim, _sublevel_rays(family, x))
     per_eps = tuple(
-        _sublevel_result(family, x, coneg, _positive_eps(v), mode, grid, False) for v in eps_vals
+        _sublevel_result(family, x, coneg, _positive_eps(v), mode, None, False) for v in eps_vals
     )
     if not is_pointed(family.dim, coneg.rays):
         coneg = inequality_cone(cone_rays(coneg.rays, family.dim), family.dim)
@@ -491,10 +492,10 @@ class AffineComposed1D:
         return self.profile.value(u)
 
     def zero_sublevel_interval(self) -> Interval:
-        return qc1d_sublevel(self.profile, 0)
+        return qc1d_sublevel(self.profile)
 
     def hull_zero_sublevel_interval(self) -> Interval:
-        return qc1d_sublevel(qc1d_closed_hull(self.profile), 0)
+        return qc1d_sublevel(qc1d_closed_hull(self.profile))
 
 
 def _poly_eval(coeffs: Sequence[Fraction], u: Fraction) -> Fraction:
@@ -767,10 +768,10 @@ def cc_condition_check(family_or_profiles) -> CcReport:
     rhs3_iv = Interval(None, False, None, False)
     rhs2_iv = Interval(None, False, None, False)
     for q in profiles:
-        iv = qc1d_sublevel(q, 0)
+        iv = qc1d_sublevel(q)
         raw = raw.intersect(iv)
         rhs3_iv = rhs3_iv.intersect(iv.closure())
-        rhs2_iv = rhs2_iv.intersect(qc1d_sublevel(qc1d_closed_hull(q), 0))
+        rhs2_iv = rhs2_iv.intersect(qc1d_sublevel(qc1d_closed_hull(q)))
     lhs_iv = raw.closure()
     cc3 = interval_equal(lhs_iv, rhs3_iv)
     cc2 = interval_equal(lhs_iv, rhs2_iv)
@@ -806,39 +807,43 @@ class FrechetCone:
     gradient_hits: int
 
 
-def frechet_outer_cone(
-    qc: SublevelOracleQC, x: Vec, eps, samples_per_axis: int = 5
-) -> FrechetCone:
+# Samples per axis of the outer estimate's lattice (5^dim points) and of the
+# inclusion check's (7^dim points). Both are odd, so the middle sample is
+# offset 0 and x itself is a lattice point.
+FRECHET_SAMPLES = 5
+INCLUSION_SAMPLES = 7
+
+
+def _lattice(x: Vec, radius: Fraction, samples: int):
+    """The points x + offsets, in product order, with samples offsets per
+    axis evenly spaced over [-radius, radius], generated lazily."""
+    offsets = [-radius + 2 * radius * Fraction(j, samples - 1) for j in range(samples)]
+    return (vadd(x, combo) for combo in itertools.product(offsets, repeat=len(x)))
+
+
+def frechet_outer_cone(qc: SublevelOracleQC, x: Vec, eps) -> FrechetCone:
     """Outer estimate of the normal cone at x: gradients of near-active
-    smooth members sampled on a lattice in the sup-norm eps-ball around x."""
+    smooth members sampled on a lattice in the sup-norm eps-ball around x,
+    FRECHET_SAMPLES = 5 points per axis; an odd count puts x on the lattice.
+
+    The lattice is walked lazily, and only the distinct gradient directions
+    are kept, which is all cone() reads, so memory does not grow with the
+    5^dim points."""
     e = _positive_eps(eps)
-    if samples_per_axis < 2:
-        raise InputError("need at least two samples per axis")
     x = vec(x)
     for m in qc.members:
         if not isinstance(m.evaluator, SmoothQCMember):
             raise InputError("the outer estimate needs smooth members (gradients)")
-    offsets = [
-        -e + 2 * e * Fraction(j, samples_per_axis - 1) for j in range(samples_per_axis)
-    ]
-    rays: list[Vec] = []
+    dirs: set[tuple[int, ...]] = set()
     hits = 0
-    count = 0
-    seen = set()
-    lattice = [vadd(x, combo) for combo in itertools.product(offsets, repeat=len(x))]
-    lattice.append(x)
-    for y in lattice:
-        if y in seen:
-            continue
-        seen.add(y)
-        count += 1
+    for y in _lattice(x, e, FRECHET_SAMPLES):
         for m in qc.members:
             if m.evaluator.value(y) <= e:
                 g = m.evaluator.gradient(y)
-                if any(c != 0 for c in g):
-                    rays.append(g)
+                if any(g):
+                    dirs.add(primitive_ints(g))
                     hits += 1
-    return FrechetCone(cone(len(x), rays), count, hits)
+    return FrechetCone(cone(len(x), dirs), FRECHET_SAMPLES ** len(x), hits)
 
 
 @dataclass(frozen=True)
@@ -962,14 +967,14 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def inclusion_witness_check(
-    f, x: Vec, eps, samples_per_axis: int = 7
-) -> InclusionReport:
+def inclusion_witness_check(f, x: Vec, eps) -> InclusionReport:
     """Certify generators of the eps-normal set of [f <= 0] at x as elements
     of cone(d f(y)) + (sqrt(eps))-ball for nearby y with f(y) <= 2 sqrt(eps).
 
-    eps must be the square of a rational. Each certified generator gets an
-    exact witness (y, lam, u in d f(y), p) with g = lam*u + p and
+    eps must be the square of a rational. The points y are those of a
+    lattice in the sup-norm 3 sqrt(eps)-ball around x, INCLUSION_SAMPLES = 7
+    per axis; an odd count puts x on the lattice. Each certified generator
+    gets an exact witness (y, lam, u in d f(y), p) with g = lam*u + p and
     ||p||_inf <= sqrt(eps); generators without a witness are reported as
     unresolved, never as refutations.
     """
@@ -977,14 +982,12 @@ def inclusion_witness_check(
     rho = _rational_sqrt(e)
     if rho is None:
         raise InputError("eps must be the square of a rational")
-    if samples_per_axis < 2:
-        raise InputError("need at least two samples per axis")
     x = vec(x)
     if isinstance(f, SmoothQCMember):
         s = f.zero_sublevel()
         value = f.value
     elif isinstance(f, PolyhedralFunction):
-        s = sublevel_set(f, 0)
+        s = sublevel_set(f)
         value = lambda y: evaluate(f, y)
     else:
         raise InputError("expected a smooth member or a polyhedral function")
@@ -992,15 +995,8 @@ def inclusion_witness_check(
         raise PreconditionError("x must satisfy f(x) <= 0")
     nset = eps_normal_set(s, x, e)
     gens = list(nset.points) + list(nset.rays)
-    offsets = [
-        -3 * rho + 6 * rho * Fraction(j, samples_per_axis - 1)
-        for j in range(samples_per_axis)
-    ]
-    lattice = [vadd(x, combo) for combo in itertools.product(offsets, repeat=len(x))]
-    if x not in lattice:
-        lattice.append(x)
     candidates = []
-    for y in lattice:
+    for y in _lattice(x, 3 * rho, INCLUSION_SAMPLES):
         v = value(y)
         if v == POS_INF or v > 2 * rho:
             continue

@@ -173,20 +173,15 @@ def _int_value(f: ExtendedFunction, ys: Sequence[int], q: int):
     return _top(f, _piece_numerators(f, ys, q))
 
 
-def sublevel_set(f: PolyhedralFunction, level) -> PolyhedronH:
-    """[f <= level] = domain cut by every piece at the level."""
-    return polyhedron(f.dim, [*f.domain.halfspaces, *_piece_rows(f, rat(level))])
+def sublevel_set(f: PolyhedralFunction) -> PolyhedronH:
+    """[f <= 0] = domain cut by every piece at level 0."""
+    return polyhedron(f.dim, [*f.domain.halfspaces, *_piece_rows(f)])
 
 
-def _piece_rows(f: PolyhedralFunction, c: Fraction) -> list[HalfSpace]:
-    """One row per piece of [f <= c], before canonicalization: <S, y> + B
-    <= c * D, scaled by the level's denominator, a positive multiple of the
-    row (slope, c - intercept) on ints."""
-    cn, cd = c.numerator, c.denominator
-    return [
-        HalfSpace(tuple(x * cd for x in s), cn * d - b * cd)
-        for s, b, d in (p._ints for p in f.pieces)
-    ]
+def _piece_rows(f: PolyhedralFunction) -> list[HalfSpace]:
+    """One row per piece of [f <= 0], before canonicalization: <S, y> <= -B,
+    a positive multiple of the row (slope, -intercept) on ints."""
+    return [HalfSpace(s, -b) for s, b, _ in (p._ints for p in f.pieces)]
 
 
 # Entries per cache. All key on frozen dataclasses, so the bound keeps a long
@@ -530,9 +525,9 @@ def _sublevel_parts(q: QuasiConvex1D, c: Fraction) -> list[Interval]:
     return merged
 
 
-def qc1d_sublevel(q: QuasiConvex1D, c) -> Interval:
-    """[q <= c] as a single (possibly empty) interval."""
-    parts = _sublevel_parts(q, rat(c))
+def qc1d_sublevel(q: QuasiConvex1D) -> Interval:
+    """[q <= 0] as a single (possibly empty) interval."""
+    parts = _sublevel_parts(q, Fraction(0))
     if not parts:
         return EMPTY_INTERVAL
     if len(parts) > 1:
@@ -575,16 +570,16 @@ def convex_sublevel_closure_identity(f) -> ClosureIdentityReport:
     lsc hull. Precondition: [f <= 0] nonempty.
     """
     if isinstance(f, PolyhedralFunction):
-        s = sublevel_set(f, 0)
+        s = sublevel_set(f)
         if is_empty_poly(s):
             raise RefusedError("closure identity needs [f <= 0] nonempty")
         return ClosureIdentityReport(True, s, s)
     if isinstance(f, QuasiConvex1D):
-        raw = qc1d_sublevel(f, 0)
+        raw = qc1d_sublevel(f)
         if raw.is_empty:
             raise RefusedError("closure identity needs [f <= 0] nonempty")
         lhs = raw.closure()
-        rhs = qc1d_sublevel(qc1d_closed_hull(f), 0)
+        rhs = qc1d_sublevel(qc1d_closed_hull(f))
         if interval_equal(lhs, rhs):
             return ClosureIdentityReport(True, lhs, rhs)
         witness = _interval_difference_point(rhs, lhs)

@@ -24,8 +24,8 @@ full rank, the cone is pointed and its unique minimal generating set
 is its extreme rays: a generator is kept iff no other generator has a
 strictly larger set of tight rows, a bitmask test with no LP. h_to_v runs it
 even with minimal=False, which only turns off the pruning LPs. Everywhere
-else (rows of lower rank, and generators(...) or cone(..., minimal=True) on
-generators of unknown origin) rays are pruned one int phase-1 LP
+else (rows of lower rank, and generators(...) or cone(...) on generators
+of unknown origin) rays are pruned one int phase-1 LP
 (lp.nonneg_feasible) per ray, which stops as soon as the rays still kept are
 linearly independent (an integer rank test), and points one per point. Both
 give the same canonical output.
@@ -175,12 +175,9 @@ def generators(dim: int, points: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -
     return GeneratorSet(dim, tuple(pts), tuple(rys))
 
 
-def cone(dim: int, rays: Iterable[Vec] = (), minimal: bool = True) -> ConeGen:
-    """Canonical cone: primitive sorted rays; minimal=True drops redundant ones."""
-    rys = _canonical_rays(dim, rays)
-    if minimal:
-        rys = _prune_rays(rys)
-    return ConeGen(dim, tuple(rys))
+def cone(dim: int, rays: Iterable[Vec] = ()) -> ConeGen:
+    """Canonical cone: primitive sorted rays, with redundant ones dropped."""
+    return ConeGen(dim, tuple(_prune_rays(_canonical_rays(dim, rays))))
 
 
 def _prune_rays(rays: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -222,8 +222,10 @@ def _parse_objective(v, path: str, dim: int) -> PolyhedralFunction:
     return fn
 
 
-def parse_instance(data: Any, path: str = "$"):
-    """Parse one instance object into (kind, id, payload dict)."""
+def parse_instance(data: Any):
+    """Parse one instance object into (kind, id, payload dict); error paths
+    start at the root "$"."""
+    path = "$"
     obj = _as_obj(data, path)
     if "format_version" not in obj:
         _fail(f"{path}.format_version", "missing required field")
@@ -315,16 +317,12 @@ def parse_instance(data: Any, path: str = "$"):
             if name != "circle":
                 _fail(f"{path}.sampler", f"unknown sampler {name!r}")
             sampler = CircleSampler()
-        if "levels" in obj and sampler is None:
-            _fail(f"{path}.levels", "levels only apply to sampler instances")
-        levels = (4, 5, 6, 7, 8, 9, 10)
+        given = {}  # without "levels", LinearSIPInstance's default levels apply
         if "levels" in obj:
-            levels = tuple(_as_int(l, f"{path}.levels[{i}]") for i, l in enumerate(_as_list(obj["levels"], f"{path}.levels")))
-        payload = {
-            "sip": LinearSIPInstance(dim, cost, point, constraints=constraints, sampler=sampler, levels=levels)
-            if sampler is not None
-            else LinearSIPInstance(dim, cost, point, constraints=constraints),
-        }
+            if sampler is None:
+                _fail(f"{path}.levels", "levels only apply to sampler instances")
+            given["levels"] = tuple(_as_int(l, f"{path}.levels[{i}]") for i, l in enumerate(_as_list(obj["levels"], f"{path}.levels")))
+        payload = {"sip": LinearSIPInstance(dim, cost, point, constraints, sampler, **given)}
     return kind, ident, payload
 
 

@@ -398,7 +398,7 @@ def check_sip_linear(instance: LinearSIPInstance) -> SipReport:
                 f"candidate point violates a level-{level} sampled constraint"
             )
         active = [i for i in indices if values[i] == pts[i][1]]
-        k = cone(len(x), [pts[i][0] for i in active], minimal=False)
+        k = cone(len(x), [pts[i][0] for i in active])
         dist, _ = sup_distance_to_cone(minus_c, k)
         if residuals and dist > residuals[-1]:
             raise InternalCheckError("residual increased along nested levels")
@@ -461,16 +461,15 @@ class QCOptimalityReport:
     objective_at_point: Fraction | None = None
 
 
-def check_necessary_qc(
-    prog: QCProgram, eps, samples_per_axis: int = 5
-) -> QCOptimalityReport:
+def check_necessary_qc(prog: QCProgram, eps) -> QCOptimalityReport:
     """Check the necessary condition theta in d f0(x) + N at a feasible x.
 
     A failed membership certifies x is not a minimizer (the condition is
     necessary); a passing one is reported as condition-holds. When every
     constraint is smooth, the normal-cone part of the decomposition is also
-    checked against the sampled gradient outer cone (outer_verified); a
-    profile member has no gradient, and outer_verified stays None.
+    checked against the sampled gradient outer cone (outer_verified), whose
+    lattice has FRECHET_SAMPLES = 5 points per axis, odd so that x is one of
+    them; a profile member has no gradient, and outer_verified stays None.
     """
     e = rat(eps)
     x = vec(prog.point)
@@ -487,7 +486,7 @@ def check_necessary_qc(
         )
     outer_ok = None
     if all(isinstance(m.evaluator, SmoothQCMember) for m in prog.constraints.members):
-        fc = frechet_outer_cone(prog.constraints, x, e, samples_per_axis)
+        fc = frechet_outer_cone(prog.constraints, x, e)
         outer_ok = all(cone_contains(fc.cone, r) for r in kres.cone.rays) and (
             all(c == 0 for c in cert.q) or cone_contains(fc.cone, cert.q)
         )

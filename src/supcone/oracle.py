@@ -47,16 +47,15 @@ def polyhedron_normal_cone(poly: PolyhedronH, x: Vec) -> ConeGen:
     return cone(poly.dim, tight)
 
 
-def sup_sublevel_polyhedron(members, level=0) -> PolyhedronH:
-    """[sup_t f_t <= level] for a family of polyhedral members.
+def sup_sublevel_polyhedron(members) -> PolyhedronH:
+    """[sup_t f_t <= 0] for a family of polyhedral members.
 
-    Proper members contribute their domain rows and one row per piece at the
-    level, improper members their domain rows (the value is -inf there, below
-    any finite level). One polyhedron() call canonicalizes all of them: the
-    same PolyhedronH as intersecting the members' sublevel_set polyhedra,
-    with each row made primitive once.
+    Proper members contribute their domain rows and one row per piece at
+    level 0, improper members their domain rows (the value is -inf there,
+    below 0). One polyhedron() call canonicalizes all of them: the same
+    PolyhedronH as intersecting the members' sublevel_set polyhedra, with
+    each row made primitive once.
     """
-    c = rat(level)
     rows = []
     dims = set()
     for f in members:
@@ -64,7 +63,7 @@ def sup_sublevel_polyhedron(members, level=0) -> PolyhedronH:
             rows.extend(f.domain.halfspaces)
         elif isinstance(f, PolyhedralFunction):
             rows.extend(f.domain.halfspaces)
-            rows.extend(_piece_rows(f, c))
+            rows.extend(_piece_rows(f))
         else:
             raise InputError(f"unsupported member type {type(f).__name__}")
         dims.add(f.dim)
@@ -146,7 +145,6 @@ def verify_formula_instance(
     x: Vec,
     eps,
     which: str = "sublevel",
-    grid=None,
     instance_id: str = "",
     mode: str = "auto",
 ) -> VerificationReport:
@@ -157,9 +155,7 @@ def verify_formula_instance(
     if which == "sublevel":
         # the report reads only res.cone and res.epsilon: skip the formula's
         # own oracle certification
-        res = formulas.sublevel_normal_cone_formula(
-            family, x, e, grid=grid, mode=mode, certify=False
-        )
+        res = formulas.sublevel_normal_cone_formula(family, x, e, mode=mode, certify=False)
     elif which == "dom":
         res = formulas.dom_sup_normal_cone(family, x, e)
     elif which == "qc":

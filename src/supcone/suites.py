@@ -49,13 +49,14 @@ from .generate import (
     random_qc_instance,
 )
 from .geometry import (
+    ConeGen,
     HalfSpace,
     Vec,
-    cone,
     cone_contains,
     cone_equal,
     format_rat,
     polyhedron,
+    primitive_ints,
     vec,
 )
 from .optimality import (
@@ -677,7 +678,8 @@ def _tampered(rep) -> tuple[object, str]:
     for cand in _BOGUS_RAY_CANDIDATES:
         v = vec(cand + (0,) * (dim - len(cand)))
         if not cone_contains(rep.oracle_cone, v):
-            bad = cone(dim, list(rep.formula_cone.rays) + [v], minimal=False)
+            # unpruned on purpose: cone() would drop a redundant formula ray
+            bad = ConeGen(dim, tuple(sorted({*rep.formula_cone.rays, primitive_ints(v)})))
             verdict, _ = compare_cones(bad, rep.oracle_cone)
             return bad, verdict
     raise InputError("mutation target has a full cone; nothing to tamper with")

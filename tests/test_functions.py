@@ -85,8 +85,9 @@ def test_max_affine_needs_a_piece() -> None:
 
 
 def test_sublevel_set_of_abs() -> None:
-    f = max_affine(1, [((1,), 0), ((-1,), 0)])
-    s = sublevel_set(f, 2)
+    # [|y| <= 2] as the zero sublevel of |y| - 2
+    f = max_affine(1, [((1,), -2), ((-1,), -2)])
+    s = sublevel_set(f)
     assert poly_contains_point(s, vec((2,)))
     assert poly_contains_point(s, vec((-2,)))
     assert not poly_contains_point(s, vec(("5/2",)))
@@ -95,7 +96,7 @@ def test_sublevel_set_of_abs() -> None:
 def test_sublevel_set_respects_domain() -> None:
     dom = polyhedron(1, [hs((-1,), 0)])
     f = max_affine(1, [((0,), -1)], domain=dom)
-    s = sublevel_set(f, 0)
+    s = sublevel_set(f)
     assert poly_equal(s, dom)
 
 
@@ -216,21 +217,23 @@ def test_qc1d_accepts_jump_on_monotone_stretch() -> None:
     # limit 3, value 2, right limit -1. Every sublevel stays an interval.
     q = QuasiConvex1D((F(0),), (aff1(-1, 3), aff1(1, -1)), (F(2),))
     assert q.value(F(0)) == 2
-    s = qc1d_sublevel(q, 0)
+    s = qc1d_sublevel(q)
     assert interval_equal(s, Interval(F(0), False, F(1), True))
 
 
 def test_qc1d_sublevel_of_vee() -> None:
-    q = QuasiConvex1D((F(0),), (aff1(-1, 0), aff1(1, 0)), (F(0),))
-    s = qc1d_sublevel(q, F(2))
+    # [|u| <= 2] and [|u| <= -1] as the zero sublevels of |u| - 2 and |u| + 1
+    q = QuasiConvex1D((F(0),), (aff1(-1, -2), aff1(1, -2)), (F(-2),))
+    s = qc1d_sublevel(q)
     assert interval_equal(s, Interval(F(-2), True, F(2), True))
-    assert qc1d_sublevel(q, F(-1)).is_empty
+    q = QuasiConvex1D((F(0),), (aff1(-1, 1), aff1(1, 1)), (F(1),))
+    assert qc1d_sublevel(q).is_empty
 
 
 def test_qc1d_sublevel_open_end_from_domain() -> None:
     # Finite on (0, inf) via piece u, +inf at 0 and left of it.
-    q = QuasiConvex1D((F(0),), (None, aff1(1, 0)), (None,))
-    s = qc1d_sublevel(q, F(3))
+    q = QuasiConvex1D((F(0),), (None, aff1(1, -3)), (None,))
+    s = qc1d_sublevel(q)
     assert interval_equal(s, Interval(F(0), False, F(3), True))
 
 

@@ -142,14 +142,23 @@ def test_primitive_ints_on_ints_matches_the_fraction_path() -> None:
 # ---------------------------------------------- one-pass sublevel polyhedron
 
 
-def ref_sup_sublevel_polyhedron(members, level=0):
+def shifted(f, level):
+    """f - level, so that [f <= level] is its zero sublevel; other members
+    pass through."""
+    if not isinstance(f, PolyhedralFunction):
+        return f
     c = rat(level)
+    pieces = tuple(AffinePiece(p.slope, p.intercept - c) for p in f.pieces)
+    return PolyhedralFunction(f.dim, pieces, f.domain)
+
+
+def ref_sup_sublevel_polyhedron(members):
     polys = []
     for f in members:
         if isinstance(f, ImproperFunction):
             polys.append(f.domain)
         elif isinstance(f, PolyhedralFunction):
-            polys.append(sublevel_set(f, c))
+            polys.append(sublevel_set(f))
         else:
             raise InputError(f"unsupported member type {type(f).__name__}")
     if not polys:
@@ -168,8 +177,9 @@ def test_one_pass_sublevel_polyhedron_matches_the_intersection() -> None:
     for g in streams:
         members = g.family.functions()
         for level in LEVELS:
-            got = sup_sublevel_polyhedron(members, level)
-            assert got == ref_sup_sublevel_polyhedron(members, level)
+            at_level = [shifted(f, level) for f in members]
+            got = sup_sublevel_polyhedron(at_level)
+            assert got == ref_sup_sublevel_polyhedron(at_level)
         improper += any(isinstance(f, ImproperFunction) for f in members)
     # a member whose sublevel is empty: a constant piece above the level,
     # beside members with rows
@@ -177,8 +187,9 @@ def test_one_pass_sublevel_polyhedron_matches_the_intersection() -> None:
     high = PolyhedralFunction(dim, (AffinePiece((F(0), F(0)), F(5)),), whole_space(dim))
     for g in streams[:20]:
         members = [f for f in g.family.functions() if f.dim == dim] + [high]
-        got = sup_sublevel_polyhedron(members, F(1, 3))
-        assert got == ref_sup_sublevel_polyhedron(members, F(1, 3))
+        at_level = [shifted(f, F(1, 3)) for f in members]
+        got = sup_sublevel_polyhedron(at_level)
+        assert got == ref_sup_sublevel_polyhedron(at_level)
         assert is_empty_poly(got)
         empty += 1
     assert improper >= 50 and empty >= 20, (improper, empty)

@@ -42,6 +42,7 @@ from supcone.geometry import (
     polyhedron,
     rat,
 )
+from test_int_feasibility import shifted
 
 F = Fraction
 CASES = 1000
@@ -245,7 +246,7 @@ def test_cones_at_x_match_fraction_code(block) -> None:
             )
             if isinstance(f, PolyhedralFunction):
                 level = rng.choice((0, rational(rng)))
-                assert sublevel_set(f, level) == ref_sublevel_set(f, level)
+                assert sublevel_set(shifted(f, level)) == ref_sublevel_set(f, level)
                 assert outcome(functions.exact_subdifferential, f, x) == outcome(
                     ref_exact_subdifferential, f, x
                 )

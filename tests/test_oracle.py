@@ -66,8 +66,9 @@ def test_sup_sublevel_polyhedron_mixed_family() -> None:
 
 
 def test_sup_sublevel_polyhedron_level_shift() -> None:
-    f = affine_function((1,), 0)
-    got = sup_sublevel_polyhedron([f], level=2)
+    # [y <= 2] as the zero sublevel of y - 2
+    f = affine_function((1,), -2)
+    got = sup_sublevel_polyhedron([f])
     assert poly_equal(got, polyhedron(1, [hs((1,), 2)]))
 
 

@@ -278,7 +278,7 @@ def test_non_pointed_h_to_v_falls_back_to_lp_pruning(lp_calls) -> None:
 
 
 def test_equal_ray_tuples_settle_cone_equal_without_lp(lp_calls) -> None:
-    a = cone(2, [vec((1, 0)), vec((0, 1)), vec((1, 1))], minimal=False)
+    a = ConeGen(2, ((0, 1), (1, 0), (1, 1)))  # unpruned: (1, 1) is redundant
     b = ConeGen(2, a.rays)
     assert cone_equal(a, b)
     assert compare_cones(a, b) == (EQUAL, None)

@@ -155,7 +155,7 @@ def test_sampled_intersection_matches_hull_intersection(seed) -> None:
     g = random_max_affine_family(random.Random(seed))
     grid = SGrid.geometric(min_exp=-2, max_exp=2)
     eps_list = (g.epsilon, g.epsilon / 2)
-    res = sublevel_normal_cone_intersection(g.family, g.point, eps_list, grid=grid, mode="sampled")
+    res = sublevel_normal_cone_intersection(g.family, g.point, eps_list, mode="sampled")
     hulls = [sampled_hull(g.family, g.point, e, grid) for e in eps_list]
     assert (res.cone, res.stabilized) == hull_intersection(hulls)
 

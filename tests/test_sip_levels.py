@@ -17,7 +17,8 @@ import pytest
 
 from supcone.cli import main
 from supcone.errors import InternalCheckError, PreconditionError, SizingError
-from supcone.geometry import cone, dot, lp, sup_distance_to_cone, vec, vscale
+from supcone.geometry import ConeGen, dot, lp, sup_distance_to_cone, vec, vscale
+from supcone.geometry.sets import _canonical_rays
 from supcone.optimality import (
     CircleSampler,
     LinearSIPInstance,
@@ -41,7 +42,9 @@ def ref_points(level: int):
 
 def ref_active_cone(constraints, x):
     active = [i for i, (a, b) in enumerate(constraints) if dot(a, x) == b]
-    return active, cone(len(x), [constraints[i][0] for i in active], minimal=False)
+    # the unpruned canonical cone: distinct primitive rays, sorted
+    rays = _canonical_rays(len(x), [constraints[i][0] for i in active])
+    return active, ConeGen(len(x), tuple(rays))
 
 
 def ref_check_sip_linear(instance: LinearSIPInstance) -> SipReport:
